@@ -24,7 +24,7 @@ from .finalg import (
     is_nonassociative_poisson,
 )
 from .identities import LEAF
-from .linalg import Matrix, Vector, kernel_basis, rref
+from .linalg import Matrix, Vector, kernel_basis, pivot_columns, reduce_modulo, rref
 from .symgroup import (
     C3,
     ID3,
@@ -547,32 +547,12 @@ def build_delta3_system() -> Delta3System:
     conseq = Matrix.from_rows(conseq_rows)
     conseq_rank, conseq_red = rref(conseq)
 
-    # Normal form modulo the consequence span: eliminate pivot coordinates.
-    pivots = []
-    col = 0
-    for r in range(conseq_rank):
-        while conseq_red[r, col] == 0:
-            col += 1
-        pivots.append(col)
-        col += 1
-    pivot_set = set(pivots)
+    pivot_set = set(pivot_columns(conseq_red, conseq_rank))
     free_coords = [j for j in range(nrows) if j not in pivot_set]
-
-    def normal_form(vec):
-        v = list(vec)
-        for r, p in enumerate(pivots):
-            if v[p] != 0:
-                f = v[p]
-                row = conseq_red.row(r)
-                for j in range(nrows):
-                    if row[j] != 0:
-                        v[j] -= f * row[j]
-        return [v[j] for j in free_coords]
-
-    reduced_cols = [normal_form(col) for col in cols]
-    reduced = Matrix.from_rows(
-        [[reduced_cols[j][i] for j in range(len(cols))] for i in range(len(free_coords))]
-    )
+    # Normal form of each column modulo the consequence span, restricted to
+    # the coordinates that are not pivots of that span.
+    normals = [reduce_modulo(conseq_red, conseq_rank, col) for col in cols]
+    reduced = Matrix.from_rows([[n[i] for n in normals] for i in free_coords])
     kernel = kernel_basis(reduced)
     return Delta3System(
         matrix=raw,

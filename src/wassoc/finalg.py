@@ -515,8 +515,13 @@ class AlgebraFormatError(ValueError):
     pass
 
 
+def _json_int(x) -> bool:
+    """JSON integers only: `true`/`false` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if _json_int(s):
         return Fraction(s)
     if not isinstance(s, str):
         raise AlgebraFormatError(f"rational must be a 'p/q' string, got {s!r}")
@@ -540,16 +545,16 @@ def algebra_from_json(doc) -> FinAlg:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise AlgebraFormatError("algebra document must be an object with 'dim'")
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not _json_int(n) or n < 1:
         raise AlgebraFormatError(f"bad dimension {n!r}")
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for entry in doc.get("products", []):
         i, j = entry.get("i"), entry.get("j")
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= n and 1 <= j <= n):
+        if not (_json_int(i) and _json_int(j) and 1 <= i <= n and 1 <= j <= n):
             raise AlgebraFormatError(f"product indices out of range: i={i!r} j={j!r}")
         for term in entry.get("out", []):
             k = term.get("k")
-            if not (isinstance(k, int) and 1 <= k <= n):
+            if not (_json_int(k) and 1 <= k <= n):
                 raise AlgebraFormatError(f"output index out of range: k={k!r}")
             c[i - 1][j - 1][k - 1] = _parse_rational(term.get("c"))
     return FinAlg(n, c)

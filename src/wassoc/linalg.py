@@ -1,16 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Every dimension, rank and span fact computed by this package reduces to row
-reduction of a dense rational matrix, so the routines here are exact: entries
-are `fractions.Fraction` (plain ints are accepted and promoted).  Pivot choice
-is deterministic (first nonzero entry in column order), which keeps reduced
-forms, kernel bases and report output byte-stable across runs.
+Every dimension, rank and span fact computed by this package reduces to one
+row reduction, `rref`, so the routines here are exact.  `Matrix` entries are
+`fractions.Fraction` (plain ints are accepted and promoted; bools and floats
+are rejected).  `rref` eliminates fraction-free: each row is cleared of
+denominators and stored as a sparse `{column: int}` row divided by the gcd of
+its entries, rows are combined as `a*row - b*pivot` with coprime `a, b`, and
+only the final pivot rows are divided out into `Fraction`s.  The result is
+still the unique reduced row-echelon form over Q, so reduced forms, kernel
+bases and report output do not depend on how the elimination proceeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -19,6 +24,8 @@ Rational = Fraction
 def as_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"not an exact rational: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -116,37 +123,71 @@ class Matrix:
         return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
-def rref(m: Matrix) -> tuple[int, Matrix]:
-    """Reduced row-echelon form with first-nonzero pivoting.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
 
-    Returns (rank, reduced).  The reduced form is the unique RREF of the row
-    space, pivots scaled to 1, zero rows trailing.
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
+    """The primitive part of a*row - b*pivot, with a, b chosen coprime so that
+    column `col` cancels.  Both rows are nonzero at `col`."""
+    a, b = pivot[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()}
+    for j, v in pivot.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def rref(m: Matrix) -> tuple[int, Matrix]:
+    """Reduced row-echelon form: returns (rank, reduced).
+
+    The reduced form is the unique RREF of the row space, with pivots scaled
+    to 1, zero rows trailing and `Fraction` entries; a matrix with no rows
+    reduces to the 0 x 0 matrix.
     """
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    piv = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(piv, nrows):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    if m.rows == 0:
+        return 0, Matrix(0, 0, ())
+    # Echelon form: each nonzero row, cleared of denominators, is reduced on
+    # its leading column until that column has no pivot yet.
+    pivots: dict[int, dict[int, int]] = {}
+    for entries in m.entries:
+        nonzero = [(j, x) for j, x in enumerate(entries) if x]
+        if not nonzero:
             continue
-        rows[piv], rows[pivot_row] = rows[pivot_row], rows[piv]
-        pv = rows[piv][col]
-        if pv != 1:
-            inv = Fraction(1) / pv
-            rows[piv] = [x * inv for x in rows[piv]]
-        prow = rows[piv]
-        for r in range(nrows):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
-        piv += 1
-        if piv == nrows:
-            break
-    return piv, Matrix.from_rows(rows)
+        den = lcm(*(x.denominator for _, x in nonzero))
+        row = _primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero})
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row = _eliminate(row, pivot, lead)
+    # Back substitution, last pivot first, so each row is cleared of the
+    # later pivot columns using rows that are already fully reduced.
+    order = sorted(pivots)
+    for lead in reversed(order):
+        row = pivots[lead]
+        for col in sorted(j for j in row if j != lead and j in pivots):
+            row = _eliminate(row, pivots[col], col)
+        pivots[lead] = row
+    zero = Fraction(0)
+    reduced = []
+    for lead in order:
+        row = pivots[lead]
+        scale = row[lead]
+        dense = [zero] * m.cols
+        for j, v in row.items():
+            dense[j] = Fraction(v, scale)
+        reduced.append(tuple(dense))
+    reduced += [tuple([zero] * m.cols)] * (m.rows - len(order))
+    return len(order), Matrix(m.rows, m.cols, tuple(reduced))
 
 
 def rank(m: Matrix) -> int:
@@ -185,10 +226,26 @@ def row_space_basis(m: Matrix) -> list[Vector]:
     return [red.row(i) for i in range(rk)]
 
 
+def reduce_modulo(reduced: Matrix, rk: int, v: Sequence) -> Vector:
+    """Normal form of v modulo the row space of `reduced`, an RREF of rank rk
+    as returned by `rref`: v minus the combination of its rows that clears
+    every pivot coordinate.  v lies in that row space iff the result is zero."""
+    out = list(vector(v))
+    if rk and len(out) != reduced.cols:
+        raise ValueError("length mismatch")
+    for r, p in enumerate(pivot_columns(reduced, rk)):
+        f = out[p]
+        if f:
+            for j, x in enumerate(reduced.row(r)):
+                if x:
+                    out[j] -= f * x
+    return tuple(out)
+
+
 def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
     """True iff v lies in the rational span of the given vectors.
 
-    Decided exactly: appending v to the stacked basis must not raise the rank.
+    Decided exactly: v must reduce to zero modulo the RREF of the basis.
     """
     v = vector(v)
     basis = [vector(b) for b in basis]
@@ -198,8 +255,8 @@ def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
         return True
     if not basis:
         return False
-    m = Matrix.from_rows(basis)
-    return rank(m) == rank(Matrix.from_rows(basis + [v]))
+    rk, red = rref(Matrix.from_rows(basis))
+    return not any(reduce_modulo(red, rk, v))
 
 
 def same_span(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:

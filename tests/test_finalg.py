@@ -265,6 +265,21 @@ def test_algebra_json_rejects_malformed_rationals():
         algebra_from_json("{not json")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": True},
+        {"dim": 2, "products": [{"i": True, "j": 1, "out": []}]},
+        {"dim": 1, "products": [{"i": 1, "j": 1, "out": [{"k": True, "c": "1/1"}]}]},
+        {"dim": 1, "products": [{"i": 1, "j": 1, "out": [{"k": 1, "c": True}]}]},
+    ],
+    ids=["dim", "index", "output-index", "coefficient"],
+)
+def test_algebra_json_rejects_booleans(doc):
+    with pytest.raises(AlgebraFormatError):
+        algebra_from_json(json.dumps(doc))
+
+
 def test_multimap_json_roundtrip(rng):
     m = random_multimap(2, 3, rng)
     doc = multimap_to_json(m)

@@ -2,16 +2,82 @@ from fractions import Fraction
 
 import pytest
 
+from wassoc import cohomology, linalg
+from wassoc.cohomology import build_delta3_system
+from wassoc.homology import ChainComplex
 from wassoc.linalg import (
     Matrix,
+    as_rational,
     in_span,
     kernel_basis,
+    pivot_columns,
     rank,
+    reduce_modulo,
     row_space_basis,
     rref,
     same_span,
     vector,
 )
+from wassoc.operads import consequences, wa_relation_space
+
+
+def reference_rref(m: Matrix) -> tuple[int, Matrix]:
+    """Dense Gauss-Jordan elimination in `Fraction` arithmetic, pivoting on
+    the first nonzero entry of each column: the slow reference that
+    `linalg.rref` must agree with."""
+    rows = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    piv = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(piv, nrows):
+            if rows[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[piv], rows[pivot_row] = rows[pivot_row], rows[piv]
+        pv = rows[piv][col]
+        if pv != 1:
+            inv = Fraction(1) / pv
+            rows[piv] = [x * inv for x in rows[piv]]
+        prow = rows[piv]
+        for r in range(nrows):
+            if r != piv and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
+        piv += 1
+        if piv == nrows:
+            break
+    return piv, Matrix.from_rows(rows)
+
+
+def assert_agrees_with_reference(m: Matrix, monkeypatch):
+    """Same rank, same RREF with `Fraction` entries, and the same kernel basis
+    as when `kernel_basis` reads the reference RREF."""
+    expected = reference_rref(m)
+    rk, red = rref(m)
+    assert (rk, red) == expected
+    assert all(type(x) is Fraction for row in red.entries for x in row)
+    kernel = kernel_basis(m)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "rref", lambda _: expected)
+        assert kernel_basis(m) == kernel
+
+
+def rref_inputs(monkeypatch, build) -> list[Matrix]:
+    """Every matrix `build()` hands to `rref`, in call order."""
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return rref(m)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "rref", recording)
+        patched.setattr(cohomology, "rref", recording)
+        build()
+    return seen
 
 
 def test_rref_identity():
@@ -116,3 +182,79 @@ def test_row_space_basis_is_reduced():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2], [1]])
+
+
+def test_rref_matches_reference_on_wa_consequences(monkeypatch):
+    (m,) = [
+        m for m in rref_inputs(monkeypatch, lambda: consequences(wa_relation_space()))
+        if (m.rows, m.cols) == (480, 120)
+    ]
+    assert_agrees_with_reference(m, monkeypatch)
+
+
+def test_rref_matches_reference_on_delta3_system(monkeypatch, delta3_system):
+    conseq, reduced = rref_inputs(monkeypatch, build_delta3_system)
+    assert conseq.cols == 360 and rank(conseq) == delta3_system.consequence_dim
+    assert reduced == delta3_system.reduced_matrix
+    assert_agrees_with_reference(conseq, monkeypatch)
+    assert_agrees_with_reference(reduced, monkeypatch)
+
+
+def test_rref_matches_reference_on_homology_b2(monkeypatch):
+    complex9 = ChainComplex.up_to_degree(9)
+    for k in (6, 9):
+        assert_agrees_with_reference(complex9.boundary(2, k, "plain"), monkeypatch)
+
+
+def test_rref_matches_reference_on_random_rationals(rng, monkeypatch):
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**12))
+
+    for _ in range(40):
+        rows, cols, inner = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3)
+        a = Matrix.from_rows([[entry() for _ in range(inner)] for _ in range(rows)])
+        b = Matrix.from_rows([[entry() for _ in range(cols)] for _ in range(inner)])
+        low_rank = a @ b
+        assert rank(low_rank) <= inner
+        assert_agrees_with_reference(low_rank, monkeypatch)
+        full = Matrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
+        assert_agrees_with_reference(full, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [Matrix(0, 0, ()), Matrix.zero(0, 5), Matrix.from_rows([[], [], []]), Matrix.zero(3, 4)],
+    ids=["0x0", "zero-row", "zero-column", "all-zero"],
+)
+def test_rref_matches_reference_on_empty_shapes(m, monkeypatch):
+    assert_agrees_with_reference(m, monkeypatch)
+    assert rank(m) == 0
+
+
+def test_reduce_modulo_clears_pivots_and_stays_in_coset(rng):
+    for _ in range(20):
+        basis = [vector([rng.randint(-3, 3) for _ in range(6)]) for _ in range(3)]
+        v = vector([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)])
+        rk, red = rref(Matrix.from_rows(basis))
+        normal = reduce_modulo(red, rk, v)
+        assert all(normal[p] == 0 for p in pivot_columns(red, rk))
+        assert in_span([x - y for x, y in zip(v, normal)], basis)
+        assert (not any(normal)) == in_span(v, basis)
+
+
+def test_in_span_takes_one_rref_and_checks_lengths(monkeypatch):
+    answers = []
+    basis = [[1, 0, 2], [0, 1, 1]]
+    (m,) = rref_inputs(monkeypatch, lambda: answers.append(in_span([1, 1, 3], basis)))
+    assert answers == [True] and m == Matrix.from_rows(basis)
+    with pytest.raises(ValueError):
+        in_span([1, 0], [[1, 0, 0]])
+
+
+def test_booleans_are_not_rationals():
+    with pytest.raises(TypeError):
+        as_rational(True)
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[True, 0]])
