@@ -28,6 +28,7 @@ from .identities import (
     lie_admissible_expression,
     wa_expression,
 )
+from .linalg import as_rational
 from .report import DEFAULT_SEED, build_report
 
 USAGE_ERROR = 2
@@ -93,13 +94,12 @@ def cmd_check(args) -> int:
         witness = defect.first_nonzero()
     elif args.property == "commutative":
         n = alg.dim
-        for i in range(n):
-            for j in range(n):
-                if alg.c[i][j] != alg.c[j][i]:
-                    witness = ((i, j), alg.c[i][j])
-                    break
-            if witness:
-                break
+        witness = next(
+            ((i, j), tuple(a - b for a, b in zip(alg.c[i][j], alg.c[j][i])))
+            for i in range(n)
+            for j in range(n)
+            if alg.c[i][j] != alg.c[j][i]
+        )
     else:  # jordan
         from .finalg import jordan_identity_defect
 
@@ -110,7 +110,8 @@ def cmd_check(args) -> int:
     if witness is not None:
         idx, value = witness
         names = ", ".join(f"e{i + 1}" for i in idx)
-        print(f"{args.property}: fails at ({names}) with value {list(value)}")
+        coords = ", ".join(str(as_rational(x)) for x in value)
+        print(f"{args.property}: fails at ({names}) with value [{coords}]")
     else:
         print(f"{args.property}: fails")
     return CLAIM_FAILED

@@ -20,8 +20,11 @@ from dataclasses import dataclass, field
 from .finalg import (
     FinAlg,
     MultiMap,
-    endo_to_map,
+    compose,
+    derivation_defect,
     is_nonassociative_poisson,
+    linear_combination,
+    product_map,
 )
 from .identities import LEAF
 from .linalg import Matrix, Vector, kernel_basis, pivot_columns, reduce_modulo, rref
@@ -71,31 +74,14 @@ def hochschild_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     """
     if phi.arity < 1:
         raise ValueError("needs arity >= 1")
-    alg = ctx.alg
-    n = alg.dim
+    mu = product_map(ctx.alg)
     k = phi.arity
-
-    def fn(*idx):
-        out = list(alg.lmul_basis(idx[0], phi.values[idx[1:]]))
-        sign = -1
-        for i in range(k):
-            merged = alg.product(idx[i], idx[i + 1])
-            for a in range(n):
-                q = merged[a]
-                if q == 0:
-                    continue
-                val = phi.values[idx[:i] + (a,) + idx[i + 2 :]]
-                for t in range(n):
-                    if val[t] != 0:
-                        out[t] += sign * q * val[t]
-            sign = -sign
-        last = alg.rmul_basis(phi.values[idx[:-1]], idx[-1])
-        for t in range(n):
-            if last[t] != 0:
-                out[t] += sign * last[t]
-        return tuple(out)
-
-    return MultiMap.from_function(k + 1, n, fn)
+    terms = itertools.chain(
+        [(1, compose(mu, 1, phi))],
+        (((-1) ** (i + 1), compose(phi, i, mu)) for i in range(k)),
+        [((-1) ** (k + 1), compose(mu, 0, phi))],
+    )
+    return linear_combination(k + 1, phi.dim, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +93,9 @@ def wa_symmetrize3(t: MultiMap) -> MultiMap:
     t(x,y,z) + t(y,z,x) - t(y,x,z)."""
     if t.arity != 3:
         raise ValueError("needs arity 3")
-    return t + t.permute_inputs(C3.images) - t.permute_inputs(T12.images)
+    return linear_combination(
+        3, t.dim, ((1, t), (1, t.permute_inputs(C3.images)), (-1, t.permute_inputs(T12.images)))
+    )
 
 
 def wa_delta0(ctx: CochainContext, x) -> Matrix:
@@ -125,17 +113,7 @@ def wa_delta0(ctx: CochainContext, x) -> Matrix:
 
 def wa_delta1(ctx: CochainContext, f: Matrix) -> MultiMap:
     """f(x)y + x f(y) - f(xy)."""
-    alg = ctx.alg
-    n = alg.dim
-    cols = endo_to_map(n, f)
-
-    def fn(i, j):
-        a = alg.rmul_basis(cols[i], j)
-        b = alg.lmul_basis(i, cols[j])
-        c = f.apply(alg.product(i, j))
-        return tuple(x + y - z for x, y, z in zip(a, b, c))
-
-    return MultiMap.from_function(2, n, fn)
+    return derivation_defect(ctx.alg, f)
 
 
 def wa_delta2(ctx: CochainContext, phi: MultiMap) -> MultiMap:
@@ -154,23 +132,12 @@ def leibniz_defect(ctx: CochainContext, psi: MultiMap) -> MultiMap:
     """L(psi)(x,y,z) = psi(xy, z) - x psi(y,z) - psi(x,z) y."""
     if psi.arity != 2:
         raise ValueError("needs arity 2")
-    alg = ctx.alg
-    n = alg.dim
-
-    def fn(i, j, k):
-        merged = alg.product(i, j)
-        t1 = [0] * n
-        for a in range(n):
-            if merged[a] != 0:
-                val = psi.values[(a, k)]
-                for t in range(n):
-                    if val[t] != 0:
-                        t1[t] += merged[a] * val[t]
-        t2 = alg.lmul_basis(i, psi.values[(j, k)])
-        t3 = alg.rmul_basis(psi.values[(i, k)], j)
-        return tuple(a - b - c for a, b, c in zip(t1, t2, t3))
-
-    return MultiMap.from_function(3, n, fn)
+    mu = product_map(ctx.alg)
+    return (
+        compose(psi, 0, mu)
+        - compose(mu, 1, psi)
+        - compose(mu, 0, psi).permute_inputs((1, 3, 2))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +159,19 @@ def is_multiderivation(ctx: CochainContext, phi: MultiMap) -> bool:
 
 
 def _check_multiderivation(ctx: CochainContext, phi: MultiMap):
-    """Leibniz rule in each slot against the context product."""
-    alg = ctx.alg
-    n = alg.dim
+    """Leibniz rule in each slot against the context product:
+    phi(.., x_s x_{s+1}, ..) = x_s phi(.., x_{s+1}, ..) + phi(.., x_s, ..) x_{s+1}."""
+    mu = product_map(ctx.alg)
     k = phi.arity
-    for slot in range(k):
-        for idx in itertools.product(range(n), repeat=k + 1):
-            i, j = idx[slot], idx[slot + 1]
-            rest_pre, rest_post = idx[:slot], idx[slot + 2 :]
-            merged = alg.product(i, j)
-            lhs = [0] * n
-            for a in range(n):
-                if merged[a] != 0:
-                    val = phi.values[rest_pre + (a,) + rest_post]
-                    for t in range(n):
-                        if val[t] != 0:
-                            lhs[t] += merged[a] * val[t]
-            r1 = alg.lmul_basis(i, phi.values[rest_pre + (j,) + rest_post])
-            r2 = alg.rmul_basis(phi.values[rest_pre + (i,) + rest_post], j)
-            if any(l != a + b for l, a, b in zip(lhs, r1, r2)):
-                raise NotMultiderivation(slot + 1)
+    left = compose(mu, 1, phi)   # (a, y..) -> a phi(y..)
+    right = compose(mu, 0, phi)  # (y.., b) -> phi(y..) b
+    for s in range(k):
+        x_s_left = left.permute_inputs((s + 1,) + tuple(p for p in range(1, k + 2) if p != s + 1))
+        x_next_right = right.permute_inputs(
+            tuple(p for p in range(1, k + 2) if p != s + 2) + (s + 2,)
+        )
+        if compose(phi, s, mu) != x_s_left + x_next_right:
+            raise NotMultiderivation(s + 1)
 
 
 def lichnerowicz_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
@@ -227,33 +187,23 @@ def lichnerowicz_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     if not phi.is_skew():
         raise ValueError("cochain must be skew-symmetric")
     _check_multiderivation(ctx, phi)
-    bracket = ctx.bracket
-    n = bracket.dim
+    br = product_map(ctx.bracket)
     k = phi.arity
-
-    def fn(*idx):
-        out = [0] * n
-        for i in range(k + 1):
-            rest = idx[:i] + idx[i + 1 :]
-            val = bracket.mul_vec(bracket.basis_vector(idx[i]), phi.values[rest])
-            sign = -1 if i % 2 else 1
-            for t in range(n):
-                if val[t] != 0:
-                    out[t] += sign * val[t]
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                br = bracket.product(idx[i], idx[j])
-                rest = tuple(idx[t] for t in range(k + 1) if t != i and t != j)
-                sign = -1 if (i + j) % 2 else 1
-                for a in range(n):
-                    if br[a] != 0:
-                        val = phi.values[(a,) + rest]
-                        for t in range(n):
-                            if val[t] != 0:
-                                out[t] += sign * br[a] * val[t]
-        return tuple(out)
-
-    return MultiMap.from_function(k + 1, n, fn)
+    slots = range(1, k + 2)
+    outer = compose(br, 1, phi)  # (a, y..) -> {a, phi(y..)}
+    inner = compose(phi, 0, br)  # (a, b, y..) -> phi({a, b}, y..)
+    terms = itertools.chain(
+        (
+            ((-1) ** (i - 1), outer.permute_inputs((i,) + tuple(p for p in slots if p != i)))
+            for i in slots
+        ),
+        (
+            ((-1) ** (i + j), inner.permute_inputs((i, j) + tuple(p for p in slots if p not in (i, j))))
+            for i in slots
+            for j in range(i + 1, k + 2)
+        ),
+    )
+    return linear_combination(k + 1, phi.dim, terms)
 
 
 def lichnerowicz_delta0(ctx: CochainContext, x) -> MultiMap:
@@ -272,10 +222,8 @@ def lichnerowicz_delta0(ctx: CochainContext, x) -> MultiMap:
 # ---------------------------------------------------------------------------
 
 def _annihilated_by(t: MultiMap, v) -> bool:
-    out = MultiMap.zero(t.arity, t.dim)
-    for p, q in v.coeffs.items():
-        out = out + t.permute_inputs(p.images).scale(q)
-    return out.is_zero()
+    terms = ((q, t.permute_inputs(p.images)) for p, q in v.coeffs.items())
+    return linear_combination(t.arity, t.dim, terms).is_zero()
 
 
 def operadic_cochain3_check(phi3: MultiMap) -> bool:
@@ -352,10 +300,6 @@ def _free_basis4() -> list:
         for p in all_perms(4):
             basis.append((tree, p.images))
     return basis
-
-
-def _relabel(labels, mapping) -> tuple:
-    return tuple(mapping[l] for l in labels)
 
 
 def _subst_leaf(tree, labels, var, replacement_tree, replacement_labels, mapping):
@@ -569,47 +513,22 @@ def wa_delta3(ctx: CochainContext, phi3: MultiMap, coeffs) -> MultiMap:
     `delta3_unknowns()`)."""
     if phi3.arity != 3:
         raise ValueError("needs arity 3")
-    alg = ctx.alg
-    n = alg.dim
     unknowns = delta3_unknowns()
     if len(coeffs) != len(unknowns):
         raise ValueError("coefficient vector must have 120 entries")
-
-    def fn(*idx):
-        out = [0] * n
-        for q, (fam, pi) in zip(coeffs, unknowns):
-            if q == 0:
-                continue
-            slots = tuple(idx[p - 1] for p in pi)
-            if fam == "a":
-                val = alg.lmul_basis(slots[0], phi3.values[slots[1:]])
-            elif fam == "b":
-                val = alg.rmul_basis(phi3.values[slots[:3]], slots[3])
-            else:
-                if fam == "c":
-                    merged, rest = alg.product(slots[0], slots[1]), (slots[2], slots[3])
-                    pos = 0
-                elif fam == "d":
-                    merged, rest = alg.product(slots[1], slots[2]), (slots[0], slots[3])
-                    pos = 1
-                else:
-                    merged, rest = alg.product(slots[2], slots[3]), (slots[0], slots[1])
-                    pos = 2
-                acc = [0] * n
-                for a in range(n):
-                    if merged[a] != 0:
-                        key = rest[:pos] + (a,) + rest[pos:]
-                        val2 = phi3.values[key]
-                        for t in range(n):
-                            if val2[t] != 0:
-                                acc[t] += merged[a] * val2[t]
-                val = acc
-            for t in range(n):
-                if val[t] != 0:
-                    out[t] += q * val[t]
-        return tuple(out)
-
-    return MultiMap.from_function(4, n, fn)
+    mu = product_map(ctx.alg)
+    family = {
+        "a": compose(mu, 1, phi3),  # x1 f(x2, x3, x4)
+        "b": compose(mu, 0, phi3),  # f(x1, x2, x3) x4
+        "c": compose(phi3, 0, mu),  # f(x1 x2, x3, x4)
+        "d": compose(phi3, 1, mu),  # f(x1, x2 x3, x4)
+        "e": compose(phi3, 2, mu),  # f(x1, x2, x3 x4)
+    }
+    return linear_combination(
+        4,
+        phi3.dim,
+        ((q, family[fam].permute_inputs(pi)) for q, (fam, pi) in zip(coeffs, unknowns) if q),
+    )
 
 
 def delta3_relabel_coeffs(coeffs, s: Perm):

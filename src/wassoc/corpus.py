@@ -143,7 +143,7 @@ class TruncatedPolynomialRing:
     def bracket_algebra(self, weight: tuple[int, ...]) -> FinAlg:
         br = self.poisson_bracket(weight)
         n = self.dim
-        return FinAlg(n, [[br.values[(i, j)] for j in range(n)] for i in range(n)])
+        return FinAlg(n, [[br(i, j) for j in range(n)] for i in range(n)])
 
     def derivation_matrix(self, images: list[tuple]):
         """Column-convention matrix of the derivation with D(x_i) = images[i]
@@ -177,22 +177,6 @@ def plane_quotient(maxdeg: int = 2) -> TruncatedPolynomialRing:
     return TruncatedPolynomialRing(2, maxdeg)
 
 
-def plane_algebra() -> FinAlg:
-    return plane_quotient().algebra()
-
-
-def plane_bracket(weight=(1, 0)) -> MultiMap:
-    """Verified-valid Poisson bracket on the 6-dimensional plane quotient;
-    the default weight gives {x, y} = x.  The weight (0, 0) seed ({x,y} = 1)
-    fails the Leibniz identity after truncation and is rejected by
-    `is_nonassociative_poisson`; tests pin that failure down."""
-    return plane_quotient().poisson_bracket(weight)
-
-
-def plane_bracket_algebra(weight=(1, 0)) -> FinAlg:
-    return plane_quotient().bracket_algebra(weight)
-
-
 def space_quotient_square() -> TruncatedPolynomialRing:
     """K[x,y,z] / m^2: basis 1, x, y, z."""
     return TruncatedPolynomialRing(3, 1)
@@ -201,15 +185,6 @@ def space_quotient_square() -> TruncatedPolynomialRing:
 # ---------------------------------------------------------------------------
 # Corpora.
 # ---------------------------------------------------------------------------
-
-def depolarized(bullet: FinAlg, bracket: FinAlg) -> FinAlg:
-    from .finalg import depolarize
-
-    alg = depolarize(bullet, bracket)
-    if not is_weakly_associative(alg):
-        raise AssertionError("depolarization of a Poisson pair must be WA")
-    return alg
-
 
 def wa_corpus() -> list[tuple[str, FinAlg]]:
     """At least ten verified weakly associative algebras, dimensions 2..6."""
@@ -324,6 +299,17 @@ def random_endomorphism(dim: int, rng: random.Random, bound: int = 3):
 def random_multimap(arity: int, dim: int, rng: random.Random, bound: int = 3) -> MultiMap:
     return MultiMap.from_function(
         arity, dim, lambda *idx: random_vector(dim, rng, bound)
+    )
+
+
+def random_fraction_multimap(arity: int, dim: int, rng: random.Random) -> MultiMap:
+    """About a third of the outputs zero, the rest p/q with |p| <= 4, q <= 5."""
+    return MultiMap.from_function(
+        arity,
+        dim,
+        lambda *idx: (0,) * dim
+        if rng.randrange(3) == 0
+        else tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)),
     )
 
 

@@ -23,10 +23,13 @@ from .finalg import (
     MultiMap,
     algebra_from_json,
     algebra_to_json,
+    compose,
+    endo_to_map,
     is_commutative,
     is_nonassociative_poisson,
     is_weakly_associative,
     leibniz_defect_pair,
+    linear_combination,
     multimap_from_json,
     multimap_to_json,
     polarize,
@@ -71,46 +74,20 @@ def linear_deformation(base: FinAlg, psi: MultiMap, order: int = 3) -> Truncated
     return TruncatedDeformation(base, terms)
 
 
-def _mixed_associator(f: MultiMap, g: MultiMap) -> MultiMap:
-    """f(x, g(y,z)) - f(g(x,y), z)."""
-    n = f.dim
-
-    def fn(i, j, k):
-        inner = g.values[(j, k)]
-        t1 = [0] * n
-        for a in range(n):
-            if inner[a] != 0:
-                val = f.values[(i, a)]
-                for t in range(n):
-                    if val[t] != 0:
-                        t1[t] += inner[a] * val[t]
-        inner2 = g.values[(i, j)]
-        t2 = [0] * n
-        for a in range(n):
-            if inner2[a] != 0:
-                val = f.values[(a, k)]
-                for t in range(n):
-                    if val[t] != 0:
-                        t2[t] += inner2[a] * val[t]
-        return tuple(x - y for x, y in zip(t1, t2))
-
-    return MultiMap.from_function(3, n, fn)
-
-
 def wa_defect(deformation: TruncatedDeformation, k: int) -> MultiMap:
     """Coefficient of t^k in the symmetrized associator of mu_t:
-    sum_{i+j=k} of the weakly associative symmetrization of the mixed
-    associator of phi_i with phi_j (phi_0 = mu)."""
+    the weakly associative symmetrization of
+    sum_{i+j=k} phi_i(x, phi_j(y,z)) - phi_i(phi_j(x,y), z)  (phi_0 = mu)."""
     if not 1 <= k <= deformation.order:
         raise ValueError(f"order {k} outside 1..{deformation.order}")
-    n = deformation.base.dim
-    total = MultiMap.zero(3, n)
-    for i in range(0, k + 1):
-        j = k - i
-        total = total + _mixed_associator(
-            deformation.coefficient(i), deformation.coefficient(j)
-        )
-    return wa_symmetrize3(total)
+    phi = [deformation.coefficient(i) for i in range(k + 1)]
+    terms = (
+        (sign, compose(phi[i], slot, phi[k - i]))
+        for i in range(k + 1)
+        if not (phi[i].is_zero() or phi[k - i].is_zero())
+        for sign, slot in ((1, 1), (-1, 0))
+    )
+    return wa_symmetrize3(linear_combination(3, deformation.base.dim, terms))
 
 
 def is_wa_deformation(deformation: TruncatedDeformation) -> bool:
@@ -160,7 +137,7 @@ def quantization(deformation: TruncatedDeformation) -> QuantizationReport:
     failing = first_failing_order(deformation)
     psi = deformation.terms[0].skew_part()
     n = base.dim
-    bracket_alg = FinAlg(n, [[psi.values[(i, j)] for j in range(n)] for i in range(n)])
+    bracket_alg = FinAlg(n, [[psi(i, j) for j in range(n)] for i in range(n)])
     jacobi_ok = satisfies_jacobi(bracket_alg)
     leibniz_ok = leibniz_defect_pair(base, bracket_alg).is_zero()
     poisson_ok = is_nonassociative_poisson(base, bracket_alg)
@@ -221,66 +198,37 @@ def identity_gauge(dim: int, order: int = 3) -> GaugeTransform:
     return GaugeTransform([Matrix.zero(dim, dim) for _ in range(order)])
 
 
-def _compose_endo_bilinear(h: Matrix, t: MultiMap) -> MultiMap:
-    return MultiMap.from_function(
-        2, t.dim, lambda i, j: h.apply(t.values[(i, j)])
-    )
-
-
-def _compose_bilinear_endos(t: MultiMap, g1: Matrix, g2: Matrix) -> MultiMap:
-    n = t.dim
-    c1 = [g1.col(j) for j in range(n)]
-    c2 = [g2.col(j) for j in range(n)]
-
-    def fn(i, j):
-        u, v = c1[i], c2[j]
-        out = [0] * n
-        for a in range(n):
-            if u[a] == 0:
-                continue
-            for b in range(n):
-                if v[b] == 0:
-                    continue
-                q = u[a] * v[b]
-                val = t.values[(a, b)]
-                for s in range(n):
-                    if val[s] != 0:
-                        out[s] += q * val[s]
-        return tuple(out)
-
-    return MultiMap.from_function(2, n, fn)
-
-
 def gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> TruncatedDeformation:
     """mu'_t = f_t . mu_t . (f_t^-1 x f_t^-1), truncated at the deformation
-    order."""
+    order.  With g_c the terms of f_t^-1 (g_0 = Id), the t^m part of
+    mu_t(f_t^-1 x, f_t^-1 y) is T_m = sum_{b+c+d=m} phi_b(g_c x, g_d y),
+    built one input slot at a time; then phi'_k = sum_{a+m=k} h_a(T_m)."""
     n = deformation.base.dim
     order = deformation.order
     if g.order != order:
         raise ValueError("gauge order must match the deformation order")
-    ident = Matrix.identity(n)
+    # Index 0 is the identity, which is never contracted.
+    h = [None] + [endo_to_map(n, m) for m in g.h]
+    ginv = [None] + [endo_to_map(n, m) for m in g.inverse_terms(order)]
+    phi = [deformation.coefficient(b) for b in range(order + 1)]
 
-    def h_term(k: int) -> Matrix:
-        return ident if k == 0 else g.h[k - 1]
+    def series(maps, endos, apply):
+        """out_m = sum_{j+c=m} apply(maps_j, endos_c), skipping zero terms."""
+        out = []
+        for m in range(order + 1):
+            pairs = ((maps[m - c], endos[c]) for c in range(m + 1))
+            terms = (
+                (1, t if e is None else apply(t, e))
+                for t, e in pairs
+                if not (t.is_zero() or (e is not None and e.is_zero()))
+            )
+            out.append(linear_combination(2, n, terms))
+        return out
 
-    ginv = g.inverse_terms(order)
-
-    def ginv_term(k: int) -> Matrix:
-        return ident if k == 0 else ginv[k - 1]
-
-    new_terms = []
-    for k in range(1, order + 1):
-        acc = MultiMap.zero(2, n)
-        for a in range(0, k + 1):
-            for b in range(0, k - a + 1):
-                for c in range(0, k - a - b + 1):
-                    d = k - a - b - c
-                    phi = deformation.coefficient(b)
-                    term = _compose_bilinear_endos(phi, ginv_term(c), ginv_term(d))
-                    term = _compose_endo_bilinear(h_term(a), term)
-                    acc = acc + term
-        new_terms.append(acc)
-    return TruncatedDeformation(deformation.base, new_terms)
+    first = series(phi, ginv, lambda t, e: compose(t, 0, e))
+    both = series(first, ginv, lambda t, e: compose(t, 1, e))
+    new = series(both, h, lambda t, e: compose(e, 0, t))
+    return TruncatedDeformation(deformation.base, new[1:])
 
 
 def gauge_compose(outer: GaugeTransform, inner: GaugeTransform) -> GaugeTransform:
@@ -326,42 +274,20 @@ def ncp_defect(
         raise ValueError("bullet must be commutative")
     if not (is_nonassociative_poisson(bullet, bracket) or satisfies_jacobi(bracket)):
         raise ValueError("bracket must be a Lie bracket")
-    n = bullet.dim
-
-    def fn(i, j, k):
-        out = [0] * n
-        dot = bullet.product(j, k)
-        for a in range(n):
-            if dot[a] != 0:
-                val = b1.values[(i, a)]
-                for t in range(n):
-                    if val[t] != 0:
-                        out[t] += dot[a] * val[t]
-        t2 = bullet.rmul_basis(b1.values[(i, j)], k)
-        t3 = bullet.lmul_basis(j, b1.values[(i, k)])
-        t4 = bracket.lmul_basis(i, rho1.values[(j, k)])
-        br_ij = bracket.product(i, j)
-        t5 = [0] * n
-        for a in range(n):
-            if br_ij[a] != 0:
-                val = rho1.values[(a, k)]
-                for t in range(n):
-                    if val[t] != 0:
-                        t5[t] += br_ij[a] * val[t]
-        br_ik = bracket.product(i, k)
-        t6 = [0] * n
-        for a in range(n):
-            if br_ik[a] != 0:
-                val = rho1.values[(j, a)]
-                for t in range(n):
-                    if val[t] != 0:
-                        t6[t] += br_ik[a] * val[t]
-        return tuple(
-            o - x2 - x3 + x4 - x5 - x6
-            for o, x2, x3, x4, x5, x6 in zip(out, t2, t3, t4, t5, t6)
-        )
-
-    return MultiMap.from_function(3, n, fn)
+    dot, br = product_map(bullet), product_map(bracket)
+    swap12 = (2, 1, 3)  # (x, y, z) -> (y, x, z)
+    return linear_combination(
+        3,
+        bullet.dim,
+        (
+            (1, compose(b1, 1, dot)),
+            (-1, compose(dot, 0, b1)),
+            (-1, compose(dot, 1, b1).permute_inputs(swap12)),
+            (1, compose(br, 1, rho1)),
+            (-1, compose(rho1, 0, br)),
+            (-1, compose(rho1, 1, br).permute_inputs(swap12)),
+        ),
+    )
 
 
 @dataclass

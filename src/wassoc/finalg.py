@@ -1,9 +1,14 @@
 """Finite-dimensional algebras over Q given by structure constants.
 
 A FinAlg is a dim-n algebra with e_i * e_j = sum_k c[i][j][k] e_k (0-based
-indices internally, 1-based in error messages and witnesses).  A MultiMap is a
-k-linear map stored as a dense tensor of output vectors.  Entries may be ints
-or Fractions; arithmetic stays exact either way.
+indices internally, 1-based in error messages and witnesses), stored as a
+dense table.  A MultiMap is a k-linear map stored sparsely: only input tuples
+with a nonzero output, and only the nonzero output coordinates, with integral
+coefficients kept as ints and the rest as Fractions.  `compose` (partial
+composition: one map substituted into one input slot of another) is the one
+contraction routine; identity evaluation, the derivation, Jacobi, Jordan and
+Leibniz defects, and the coboundary and deformation code of the `cohomology`
+and `deform` modules are built from it and `linear_combination`.
 """
 
 from __future__ import annotations
@@ -147,18 +152,61 @@ class FinAlg:
         return f"FinAlg(dim={self.dim})"
 
 
-class MultiMap:
-    """Dense k-linear map A^k -> A: values[input basis tuple] = output vector."""
+def _exact(x):
+    """An exact coefficient: ints stay ints, a Fraction with denominator 1
+    becomes its numerator; bools, floats and anything else are rejected."""
+    t = type(x)
+    if t is int:
+        return x
+    if t is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"not an exact rational: {x!r}")
 
-    __slots__ = ("arity", "dim", "values")
+
+def _check_indices(indices, dim: int, what: str):
+    """Every index a plain int in 0..dim-1 (checked in bulk: this runs on
+    every MultiMap built)."""
+    flat = list(indices)
+    if flat and (set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= dim):
+        raise ValueError(f"{what} outside 0..{dim - 1}")
+
+
+class MultiMap:
+    """Sparse k-linear map A^k -> A: coeffs[input basis tuple] is the output
+    as {coordinate: nonzero coefficient}.  Input tuples with zero output are
+    absent, and integral coefficients are ints."""
+
+    __slots__ = ("arity", "dim", "coeffs")
 
     def __init__(self, arity: int, dim: int, values: dict):
+        """`values` maps input basis tuples (0-based) to output vectors of
+        length `dim` or to {coordinate: coefficient} dicts; absent tuples map
+        to zero.  Coefficients must be ints or Fractions."""
         self.arity = arity
         self.dim = dim
-        self.values = {
-            idx: tuple(values.get(idx, (0,) * dim))
-            for idx in itertools.product(range(dim), repeat=arity)
-        }
+        if set(map(type, values)) - {tuple} or set(map(len, values)) - {arity}:
+            raise ValueError(f"inputs must be tuples of {arity} indices")
+        _check_indices(itertools.chain.from_iterable(values), dim, "input index")
+        coeffs = {}
+        sparse_rows = []
+        for idx, out in values.items():
+            if isinstance(out, dict):
+                sparse_rows.append(out)
+                items = out.items()
+            elif len(out) != dim:
+                raise ValueError(f"output vector at {idx!r} has length {len(out)}, not {dim}")
+            else:
+                items = enumerate(out)
+            row = {}
+            for k, x in items:
+                if type(x) is not int:
+                    x = _exact(x)
+                if x:
+                    row[k] = x
+            if row:
+                coeffs[idx] = row
+        _check_indices(itertools.chain.from_iterable(sparse_rows), dim, "output coordinate")
+        self.coeffs = coeffs
 
     @staticmethod
     def zero(arity: int, dim: int) -> "MultiMap":
@@ -173,71 +221,40 @@ class MultiMap:
         )
 
     def __call__(self, *idx: int) -> tuple:
-        return self.values[idx]
-
-    def apply_vectors(self, *vecs) -> tuple:
-        """Multilinear evaluation on coordinate vectors."""
-        if len(vecs) != self.arity:
-            raise ValueError("arity mismatch")
-        out = [0] * self.dim
-        for idx in itertools.product(range(self.dim), repeat=self.arity):
-            scalar = 1
-            zero = False
-            for v, i in zip(vecs, idx):
-                if v[i] == 0:
-                    zero = True
-                    break
-                scalar = scalar * v[i]
-            if zero:
-                continue
-            val = self.values[idx]
-            for k in range(self.dim):
-                if val[k] != 0:
-                    out[k] += scalar * val[k]
-        return tuple(out)
+        """Output coordinate vector on a tuple of basis inputs."""
+        row = self.coeffs.get(idx, {})
+        return tuple(row.get(k, 0) for k in range(self.dim))
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in v) for v in self.values.values())
+        return not self.coeffs
 
     def first_nonzero(self):
         """Smallest input tuple with nonzero output, with its value (or None)."""
-        for idx in sorted(self.values):
-            if any(x != 0 for x in self.values[idx]):
-                return idx, self.values[idx]
-        return None
+        if not self.coeffs:
+            return None
+        idx = min(self.coeffs)
+        return idx, self(*idx)
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
-        self._check_compat(other)
-        return MultiMap(
-            self.arity,
-            self.dim,
-            {
-                idx: tuple(a + b for a, b in zip(v, other.values[idx]))
-                for idx, v in self.values.items()
-            },
-        )
+        return linear_combination(self.arity, self.dim, ((1, self), (1, other)))
 
     def __sub__(self, other: "MultiMap") -> "MultiMap":
-        return self + other.scale(-1)
+        return linear_combination(self.arity, self.dim, ((1, self), (-1, other)))
 
     def scale(self, q) -> "MultiMap":
-        return MultiMap(
-            self.arity,
-            self.dim,
-            {idx: tuple(q * x for x in v) for idx, v in self.values.items()},
-        )
+        return linear_combination(self.arity, self.dim, ((q, self),))
 
     def permute_inputs(self, images: tuple[int, ...]) -> "MultiMap":
         """Precompose with the slot permutation sending input i to slot images[i]:
         result(x_1..x_k) = self(x_{images[1]}, ..., x_{images[k]}) (1-based)."""
-        return MultiMap(
-            self.arity,
-            self.dim,
-            {
-                idx: self.values[tuple(idx[images[pos] - 1] for pos in range(self.arity))]
-                for idx in self.values
-            },
-        )
+        targets = [p - 1 for p in images]
+        out = {}
+        for idx, row in self.coeffs.items():
+            key = [0] * self.arity
+            for t, i in zip(targets, idx):
+                key[t] = i
+            out[tuple(key)] = row
+        return MultiMap(self.arity, self.dim, out)
 
     def transpose_pair(self) -> "MultiMap":
         if self.arity != 2:
@@ -267,51 +284,81 @@ class MultiMap:
                 return False
         return True
 
-    def _check_compat(self, other: "MultiMap"):
-        if self.arity != other.arity or self.dim != other.dim:
-            raise ValueError("shape mismatch")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiMap)
             and self.arity == other.arity
             and self.dim == other.dim
-            and all(
-                all(a == b for a, b in zip(self.values[idx], other.values[idx]))
-                for idx in self.values
-            )
+            and self.coeffs == other.coeffs
         )
 
     def __repr__(self) -> str:
         return f"MultiMap(arity={self.arity}, dim={self.dim})"
 
 
+def _add_scaled(acc: dict, key: tuple, c, row: dict):
+    """acc[key] += c * row, for {coordinate: coefficient} rows."""
+    out = acc.get(key)
+    if out is None:
+        acc[key] = {k: c * x for k, x in row.items()}
+        return
+    for k, x in row.items():
+        out[k] = out.get(k, 0) + c * x
+
+
+def linear_combination(arity: int, dim: int, terms) -> MultiMap:
+    """sum of q * m over the (q, m) pairs of `terms`, all of one shape."""
+    acc: dict = {}
+    for q, m in terms:
+        if m.arity != arity or m.dim != dim:
+            raise ValueError("shape mismatch")
+        if q:
+            for idx, row in m.coeffs.items():
+                _add_scaled(acc, idx, q, row)
+    return MultiMap(arity, dim, acc)
+
+
+def compose(outer: MultiMap, slot: int, inner: MultiMap) -> MultiMap:
+    """Partial composition: `inner` substituted into input `slot` (0-based)
+    of `outer`, with the inputs of `inner` taking that slot's place:
+
+      (x_1 .. x_{k+l-1}) -> outer(x_1 .. x_slot, inner(x_{slot+1} .. x_{slot+l}), ..).
+
+    Every contraction of multilinear maps in the package is this one routine:
+    a bilinear map substituted into a slot, an endomorphism (a 1-linear map,
+    `endo_to_map`) precomposed into a slot (inner) or applied to the output
+    (outer, slot 0), and the product applied on either side of the output
+    (`compose(product_map(alg), 1, m)` is x_1 m(x_2 ..)).  Work is
+    proportional to the nonzero coefficients that actually meet."""
+    if outer.dim != inner.dim:
+        raise ValueError("dimension mismatch")
+    if not 0 <= slot < outer.arity:
+        raise ValueError(f"slot {slot} outside 0..{outer.arity - 1}")
+    by_coord: dict = {}
+    for idx, row in outer.coeffs.items():
+        by_coord.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1 :], row))
+    acc: dict = {}
+    for jdx, inner_row in inner.coeffs.items():
+        for a, c in inner_row.items():
+            for pre, post, row in by_coord.get(a, ()):
+                _add_scaled(acc, pre + jdx + post, c, row)
+    return MultiMap(outer.arity + inner.arity - 1, outer.dim, acc)
+
+
 def product_map(alg: FinAlg) -> MultiMap:
     return MultiMap.from_function(2, alg.dim, lambda i, j: alg.product(i, j))
 
 
-def endo_to_map(alg_dim: int, m: Matrix):
-    """Column-convention endomorphism: image of e_j is column j."""
+def endo_to_map(alg_dim: int, m: Matrix) -> MultiMap:
+    """Column-convention endomorphism as a 1-linear map: e_j -> column j."""
     if m.rows != alg_dim or m.cols != alg_dim:
         raise ValueError("endomorphism must be dim x dim")
-    return [m.col(j) for j in range(alg_dim)]
+    return MultiMap(1, alg_dim, {(j,): m.col(j) for j in range(alg_dim)})
 
 
 # ---------------------------------------------------------------------------
 # Identity evaluation.
 # ---------------------------------------------------------------------------
-
-def _eval_shape(alg: FinAlg, shape, args):
-    """Evaluate a tree shape on coordinate vectors, consuming args left to right."""
-
-    def rec(s):
-        if s is LEAF:
-            return next(it)
-        return alg.mul_vec(rec(s[0]), rec(s[1]))
-
-    it = iter(args)
-    return rec(shape)
-
 
 def evaluate(alg: FinAlg, e: MultilinearIdentity) -> MultiMap:
     """Substitute the algebra product at each internal node; the result is the
@@ -319,19 +366,22 @@ def evaluate(alg: FinAlg, e: MultilinearIdentity) -> MultiMap:
     if e.arity > 5:
         raise ValueError("arity > 5 not supported")
     n = alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
+    mu = product_map(alg)
+    trees: dict = {LEAF: MultiMap(1, n, {(i,): {i: 1} for i in range(n)})}
 
-    def fn(*idx):
-        out = [0] * n
-        for (shape, labels), q in e.coeffs.items():
-            args = [basis[idx[l - 1]] for l in labels]
-            val = _eval_shape(alg, shape, args)
-            for k in range(n):
-                if val[k] != 0:
-                    out[k] += q * val[k]
-        return tuple(out)
+    def tree(shape) -> MultiMap:
+        """The shape's tree of products, inputs in leaf order."""
+        if shape not in trees:
+            left, right = shape
+            m = mu if right is LEAF else compose(mu, 1, tree(right))
+            trees[shape] = m if left is LEAF else compose(m, 0, tree(left))
+        return trees[shape]
 
-    return MultiMap.from_function(e.arity, n, fn)
+    return linear_combination(
+        e.arity,
+        n,
+        ((q, tree(shape).permute_inputs(labels)) for (shape, labels), q in e.coeffs.items()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +419,9 @@ def is_lie_admissible(alg: FinAlg) -> bool:
 
 def jacobi_defect(alg: FinAlg) -> MultiMap:
     """J(x,y,z) = (xy)z + (yz)x + (zx)y for the algebra's own product."""
-    n = alg.dim
-
-    def fn(i, j, k):
-        t1 = alg.rmul_basis(alg.product(i, j), k)
-        t2 = alg.rmul_basis(alg.product(j, k), i)
-        t3 = alg.rmul_basis(alg.product(k, i), j)
-        return tuple(a + b + c for a, b, c in zip(t1, t2, t3))
-
-    return MultiMap.from_function(3, n, fn)
+    mu = product_map(alg)
+    left = compose(mu, 0, mu)
+    return left + left.permute_inputs((2, 3, 1)) + left.permute_inputs((3, 1, 2))
 
 
 def satisfies_jacobi(alg: FinAlg) -> bool:
@@ -393,23 +437,16 @@ def jordan_identity_defect(alg: FinAlg) -> MultiMap:
     sum over permutations s of the three x-slots of
     (x_{s1} y)(x_{s2} x_{s3}) - x_{s1} (y (x_{s2} x_{s3})), arity 4 with the
     y slot last."""
-    n = alg.dim
-    perms3 = list(itertools.permutations(range(3)))
-
-    def fn(i1, i2, i3, j):
-        xs = (i1, i2, i3)
-        out = [0] * n
-        y = alg.basis_vector(j)
-        for s in perms3:
-            a, b, c = xs[s[0]], xs[s[1]], xs[s[2]]
-            sq = alg.product(b, c)
-            t1 = alg.mul_vec(alg.rmul_basis(alg.basis_vector(a), j), sq)
-            t2 = alg.lmul_basis(a, alg.mul_vec(y, sq))
-            for k in range(n):
-                out[k] += t1[k] - t2[k]
-        return tuple(out)
-
-    return MultiMap.from_function(4, n, fn)
+    mu = product_map(alg)
+    right = compose(mu, 1, mu)
+    # Both trees take their inputs as (x_a, y, x_b, x_c).
+    defect = compose(right, 0, mu) - compose(mu, 1, right)
+    return linear_combination(
+        4,
+        alg.dim,
+        ((1, defect.permute_inputs((a + 1, 4, b + 1, c + 1)))
+         for a, b, c in itertools.permutations(range(3))),
+    )
 
 
 def satisfies_jordan_identity(alg: FinAlg) -> bool:
@@ -421,18 +458,18 @@ def is_jordan(alg: FinAlg) -> bool:
     return is_commutative(alg) and satisfies_jordan_identity(alg)
 
 
+def derivation_defect(alg: FinAlg, f: Matrix) -> MultiMap:
+    """f(x)y + x f(y) - f(xy); f in column convention."""
+    mu = product_map(alg)
+    fm = endo_to_map(alg.dim, f)
+    return linear_combination(
+        2, alg.dim, ((1, compose(mu, 0, fm)), (1, compose(mu, 1, fm)), (-1, compose(fm, 0, mu)))
+    )
+
+
 def is_derivation(alg: FinAlg, f: Matrix) -> bool:
     """f(x)y + x f(y) = f(xy) on all basis pairs; f in column convention."""
-    n = alg.dim
-    cols = endo_to_map(n, f)
-    for i in range(n):
-        for j in range(n):
-            lhs1 = alg.rmul_basis(cols[i], j)
-            lhs2 = alg.lmul_basis(i, cols[j])
-            rhs = f.apply(alg.product(i, j))
-            if any(a + b != r for a, b, r in zip(lhs1, lhs2, rhs)):
-                return False
-    return True
+    return derivation_defect(alg, f).is_zero()
 
 
 def inner_derivation_candidate(alg: FinAlg, i: int) -> Matrix:
@@ -486,15 +523,12 @@ def depolarize(bullet: FinAlg, bracket: FinAlg) -> FinAlg:
 
 def leibniz_defect_pair(bullet: FinAlg, bracket: FinAlg) -> MultiMap:
     """{x.y, z} - x.{y,z} - {x,z}.y on basis triples."""
-    n = bullet.dim
-
-    def fn(i, j, k):
-        t1 = bracket.rmul_basis(bullet.product(i, j), k)
-        t2 = bullet.lmul_basis(i, bracket.product(j, k))
-        t3 = bullet.rmul_basis(bracket.product(i, k), j)
-        return tuple(a - b - c for a, b, c in zip(t1, t2, t3))
-
-    return MultiMap.from_function(3, n, fn)
+    dot, br = product_map(bullet), product_map(bracket)
+    return (
+        compose(br, 0, dot)
+        - compose(dot, 1, br)
+        - compose(dot, 0, br).permute_inputs((1, 3, 2))
+    )
 
 
 def is_nonassociative_poisson(bullet: FinAlg, bracket: FinAlg) -> bool:
@@ -520,13 +554,15 @@ def _json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_rational(s) -> Fraction:
+def _parse_rational(s):
+    """An int or Fraction from a JSON integer or a 'p/q' string; integral
+    values come back as ints."""
     if _json_int(s):
-        return Fraction(s)
+        return s
     if not isinstance(s, str):
         raise AlgebraFormatError(f"rational must be a 'p/q' string, got {s!r}")
     try:
-        return Fraction(s)
+        return _exact(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise AlgebraFormatError(f"malformed rational {s!r}") from exc
 
@@ -547,7 +583,7 @@ def algebra_from_json(doc) -> FinAlg:
     n = doc["dim"]
     if not _json_int(n) or n < 1:
         raise AlgebraFormatError(f"bad dimension {n!r}")
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
     for entry in doc.get("products", []):
         i, j = entry.get("i"), entry.get("j")
         if not (_json_int(i) and _json_int(j) and 1 <= i <= n and 1 <= j <= n):
@@ -600,7 +636,7 @@ def multimap_from_json(doc, dim: int, arity: int = 2) -> MultiMap:
 def multimap_to_json(m: MultiMap):
     def rec(prefix):
         if len(prefix) == m.arity:
-            return [_format_rational(x) for x in m.values[prefix]]
+            return [_format_rational(x) for x in m(*prefix)]
         return [rec(prefix + (i,)) for i in range(m.dim)]
 
     return rec(())

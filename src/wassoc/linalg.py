@@ -100,18 +100,27 @@ class Matrix:
         return Matrix.from_rows([[q * x for x in r] for r in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row by row: each nonzero entry of a row of `self` adds a multiple
+        of the nonzero part of one row of `other`."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = [other.col(j) for j in range(other.cols)]
-        return Matrix.from_rows(
-            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.entries]
-        )
+        nonzero = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
+        out = []
+        for r in self.entries:
+            acc = [Fraction(0)] * other.cols
+            for a, terms in zip(r, nonzero):
+                if a:
+                    for j, b in terms:
+                        acc[j] += a * b
+            out.append(acc)
+        return Matrix.from_rows(out)
 
     def apply(self, v: Sequence) -> Vector:
         v = vector(v)
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
+        zero = Fraction(0)
+        return tuple(sum((a * x for a, x in zip(r, v) if a and x), zero) for r in self.entries)
 
     def stack(self, other: "Matrix") -> "Matrix":
         if other.rows == 0:

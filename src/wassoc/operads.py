@@ -199,24 +199,6 @@ def annihilator(r: RelationSpace) -> RelationSpace:
     return RelationSpace(3, row_space_basis(Matrix.from_rows(kernel_basis(m))))
 
 
-def wa_dual_relation_space() -> RelationSpace:
-    """Annihilator of the weak-associativity relation span (dimension 8)."""
-    return annihilator(wa_relation_space())
-
-
-def wa_operad_dims() -> dict:
-    """Arity <= 3 dimension table for the operad and its quadratic dual."""
-    r = wa_relation_space()
-    rp = annihilator(r)
-    return {
-        "free(3)": free_dim(3),
-        "relation": r.dim,
-        "operad(3)": r.quotient_dim(),
-        "dual relation": rp.dim,
-        "dual(3)": 12 - rp.dim,
-    }
-
-
 # ---------------------------------------------------------------------------
 # The arity-4 dual computation in the associative word space.
 #

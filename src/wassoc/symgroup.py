@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, as_rational, in_span, rank, rref, same_span
+from .linalg import Matrix, as_rational, in_span, rank, same_span
 
 
 @dataclass(frozen=True, order=True)
@@ -266,11 +266,6 @@ def orbit_span_dim(v: GroupAlgebraElement) -> int:
     return rank(orbit_matrix(v))
 
 
-def orbit_span_basis(v: GroupAlgebraElement) -> list[tuple[Fraction, ...]]:
-    rk, red = rref(orbit_matrix(v))
-    return [red.row(i) for i in range(rk)]
-
-
 def in_orbit_span(w: GroupAlgebraElement, v: GroupAlgebraElement) -> bool:
     if w.n != v.n:
         raise ValueError("degree mismatch")
@@ -375,9 +370,3 @@ def dual4_word_vectors() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
         (-1, parse_perm("(234)", 4)),
     )
     return r1, r2
-
-
-def orbit_table_rows() -> list[GroupAlgebraElement]:
-    """The six translates of the WA vector in canonical order; the third row
-    is the one whose printed source carries a typo (it reads (13)+(12)-c)."""
-    return orbit(wa_vector())

@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from wassoc.cli import main
 from wassoc.corpus import two_dim_family
 from wassoc.deform import deformation_to_json, linear_deformation
-from wassoc.finalg import algebra_to_json
+from wassoc.finalg import FinAlg, algebra_to_json
 from wassoc.corpus import plane_quotient
 
 
@@ -32,6 +33,38 @@ def test_check_associative_fails_with_witness(a6_file, capsys):
 def test_check_commutative_witness(a6_file, capsys):
     code = main(["check", "--algebra", a6_file, "--property", "commutative"])
     assert code == 1
+
+
+def _algebra_file(tmp_path, alg):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra_to_json(alg)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "alg, prop, line",
+    [
+        (two_dim_family(6), "associative", "associative: fails at (e1, e1, e2) with value [0, -2]"),
+        (two_dim_family(3), "associative", "associative: fails at (e1, e1, e2) with value [0, -5/16]"),
+        # the defect e1 e2 - e2 e1, not e1 e2 alone
+        (two_dim_family(6), "commutative", "commutative: fails at (e1, e2) with value [0, 1]"),
+        (
+            FinAlg.from_products(2, {(2, 1): {1: Fraction(1, 2)}}),
+            "commutative",
+            "commutative: fails at (e1, e2) with value [-1/2, 0]",
+        ),
+        (
+            FinAlg.from_products(2, {(1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {1: 1}}),
+            "jordan",
+            "jordan: fails at (e1, e1, e1, e1) with value [0, -6]",
+        ),
+    ],
+    ids=["associative", "associative-fraction", "commutative", "commutative-zero-product", "jordan"],
+)
+def test_check_prints_witness_as_rationals(tmp_path, capsys, alg, prop, line):
+    code = main(["check", "--algebra", _algebra_file(tmp_path, alg), "--property", prop])
+    assert code == 1
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_check_malformed_json_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ from wassoc.cohomology import (
 from wassoc.corpus import (
     plane_quotient,
     random_endomorphism,
+    random_fraction_multimap,
     random_multimap,
     random_skew_bilinear,
     random_symmetric_bilinear,
@@ -34,7 +36,7 @@ from wassoc.corpus import (
     truncated_polynomials,
     two_dim_family,
 )
-from wassoc.finalg import MultiMap, evaluate, product_map
+from wassoc.finalg import FinAlg, MultiMap, evaluate, product_map
 from wassoc.identities import associator
 from wassoc.linalg import Matrix, in_span
 
@@ -195,7 +197,7 @@ def test_cochain4_projection(rng):
 
     kern = kernel_basis(Matrix.from_rows(rows))
     assert len(kern) == 16
-    tv = [t.values[c[:4]][c[4]] for c in coords]
+    tv = [t(*c[:4])[c[4]] for c in coords]
     gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in kern] for r1 in kern]
     rhs = [sum(a * b for a, b in zip(r1, tv)) for r1 in kern]
     rk, red = rref(Matrix.from_rows([g + [r] for g, r in zip(gram, rhs)]))
@@ -223,7 +225,7 @@ def test_lichnerowicz_delta0():
     d0 = lichnerowicz_delta0(ctx, x)
     br = ctx.bracket
     for i in range(6):
-        assert d0.values[(i,)] == br.mul_vec(br.basis_vector(i), x)
+        assert d0(i) == br.mul_vec(br.basis_vector(i), x)
 
 
 def test_lichnerowicz_square_zero_on_derivations(rng):
@@ -387,3 +389,53 @@ def test_delta3_unknown_labels():
     labels = [unknown_label(f, p) for f, p in unknowns]
     assert len(set(labels)) == 120
     assert labels[0] == "a: x1 * f(x2,x3,x4)"
+
+
+# ---------------------------------------------------------------------------
+# Dense reference: `hochschild_delta` as a loop over every basis tuple in
+# Fraction arithmetic, as it was written before it was assembled from
+# `finalg.compose`.
+# ---------------------------------------------------------------------------
+
+def reference_hochschild_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
+    alg = ctx.alg
+    n = alg.dim
+    k = phi.arity
+
+    def fn(*idx):
+        out = list(alg.lmul_basis(idx[0], phi(*idx[1:])))
+        sign = -1
+        for i in range(k):
+            merged = alg.product(idx[i], idx[i + 1])
+            for a in range(n):
+                if merged[a] != 0:
+                    val = phi(*idx[:i], a, *idx[i + 2 :])
+                    for t in range(n):
+                        out[t] += sign * merged[a] * val[t]
+            sign = -sign
+        last = alg.rmul_basis(phi(*idx[:-1]), idx[-1])
+        for t in range(n):
+            out[t] += sign * last[t]
+        return tuple(out)
+
+    return MultiMap.from_function(k + 1, n, fn)
+
+
+def test_hochschild_matches_dense_reference(rng):
+    ring = plane_quotient()
+    upper = FinAlg.from_products(
+        3, {(1, 1): {1: 1}, (1, 2): {2: 1}, (2, 3): {2: 1}, (3, 3): {3: 1}}
+    )
+    contexts = [
+        ring.algebra(),
+        ring.algebra().add(ring.bracket_algebra((1, 0))),  # plane quotient with a bracket
+        upper,  # associative, not commutative
+        two_dim_family(Fraction(5, 2)),
+    ]
+    for alg in contexts:
+        ctx = CochainContext(alg)
+        n = alg.dim
+        maps = [random_fraction_multimap(arity, n, rng) for arity in (1, 2, 3)]
+        maps += [MultiMap.zero(2, n), product_map(alg), random_skew_bilinear(n, rng, 2)]
+        for phi in maps:
+            assert hochschild_delta(ctx, phi) == reference_hochschild_delta(ctx, phi)

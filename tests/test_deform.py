@@ -1,11 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from wassoc.cohomology import CochainContext, wa_delta1, wa_delta2
+from wassoc.cohomology import CochainContext, wa_delta1, wa_delta2, wa_symmetrize3
 from wassoc.corpus import (
     plane_quotient,
     random_endomorphism,
+    random_fraction_multimap,
     random_multimap,
     two_dim_family,
 )
@@ -206,26 +208,26 @@ def test_order1_mixed_leibniz_identity(mu, ring, rng):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = brk.lmul_basis(i, rho1.values[(j, k)])
+                    lhs = brk.lmul_basis(i, rho1(j, k))
                     lhs = tuple(
                         l
                         - sum(
-                            brk.product(i, k)[a] * rho1.values[(j, a)][t]
+                            brk.product(i, k)[a] * rho1(j, a)[t]
                             for a in range(n)
                         )
                         - sum(
-                            brk.product(i, j)[a] * rho1.values[(a, k)][t]
+                            brk.product(i, j)[a] * rho1(a, k)[t]
                             for a in range(n)
                         )
                         for t, l in enumerate(lhs)
                     )
                     rhs = tuple(
                         -sum(
-                            bullet.product(j, k)[a] * b1.values[(i, a)][t]
+                            bullet.product(j, k)[a] * b1(i, a)[t]
                             for a in range(n)
                         )
-                        + bullet.lmul_basis(j, b1.values[(i, k)])[t]
-                        + bullet.rmul_basis(b1.values[(i, j)], k)[t]
+                        + bullet.lmul_basis(j, b1(i, k))[t]
+                        + bullet.rmul_basis(b1(i, j), k)[t]
                         for t in range(n)
                     )
                     assert lhs == rhs
@@ -310,3 +312,149 @@ def test_deformation_json_roundtrip(mu, bracket_map):
     back = deformation_from_json(json.dumps(doc))
     assert back.base == d.base
     assert all(a == b for a, b in zip(back.terms, d.terms))
+
+
+# ---------------------------------------------------------------------------
+# Dense reference loops: `gauge` and `wa_defect` as they were written before
+# they contracted one input slot at a time through `finalg.compose`.  They
+# loop over every basis tuple in Fraction arithmetic and serve as oracles.
+# ---------------------------------------------------------------------------
+
+def reference_mixed_associator(f: MultiMap, g: MultiMap) -> MultiMap:
+    """f(x, g(y,z)) - f(g(x,y), z)."""
+    n = f.dim
+
+    def fn(i, j, k):
+        inner, inner2 = g(j, k), g(i, j)
+        t1, t2 = [0] * n, [0] * n
+        for a in range(n):
+            if inner[a] != 0:
+                val = f(i, a)
+                for t in range(n):
+                    t1[t] += inner[a] * val[t]
+            if inner2[a] != 0:
+                val = f(a, k)
+                for t in range(n):
+                    t2[t] += inner2[a] * val[t]
+        return tuple(x - y for x, y in zip(t1, t2))
+
+    return MultiMap.from_function(3, n, fn)
+
+
+def reference_wa_defect(deformation: TruncatedDeformation, k: int) -> MultiMap:
+    total = MultiMap.zero(3, deformation.base.dim)
+    for i in range(k + 1):
+        total = total + reference_mixed_associator(
+            deformation.coefficient(i), deformation.coefficient(k - i)
+        )
+    return wa_symmetrize3(total)
+
+
+def reference_gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> list[MultiMap]:
+    """Terms of f_t . mu_t . (f_t^-1 x f_t^-1): one dense n^5 contraction per
+    (a, b, c, d) with a + b + c + d = k."""
+    n = deformation.base.dim
+    order = deformation.order
+    ident = Matrix.identity(n)
+    h_terms = [ident] + list(g.h)
+    ginv_terms = [ident] + g.inverse_terms(order)
+
+    def bilinear_endos(t, g1, g2):
+        c1 = [g1.col(j) for j in range(n)]
+        c2 = [g2.col(j) for j in range(n)]
+
+        def fn(i, j):
+            u, v = c1[i], c2[j]
+            out = [0] * n
+            for a in range(n):
+                for b in range(n):
+                    q = u[a] * v[b]
+                    if q != 0:
+                        val = t(a, b)
+                        for s in range(n):
+                            out[s] += q * val[s]
+            return tuple(out)
+
+        return MultiMap.from_function(2, n, fn)
+
+    terms = []
+    for k in range(1, order + 1):
+        acc = MultiMap.zero(2, n)
+        for a in range(k + 1):
+            for b in range(k - a + 1):
+                for c in range(k - a - b + 1):
+                    t = bilinear_endos(
+                        deformation.coefficient(b), ginv_terms[c], ginv_terms[k - a - b - c]
+                    )
+                    acc = acc + MultiMap.from_function(
+                        2, n, lambda i, j: h_terms[a].apply(t(i, j))
+                    )
+        terms.append(acc)
+    return terms
+
+
+def random_fraction_gauge(n, order, rng, zero_orders=()):
+    return GaugeTransform(
+        [
+            Matrix.zero(n, n)
+            if k in zero_orders
+            else Matrix.from_rows(
+                [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            )
+            for k in range(1, order + 1)
+        ]
+    )
+
+
+def gauge_cases(ring, rng):
+    """(label, deformation, gauge) pairs covering the plane quotient with a
+    bracket, non-integral terms and gauges, zero terms, the non-commutative
+    upper-triangular base and orders 1-3."""
+    mu = ring.algebra()
+    n = mu.dim
+    ut = upper_triangular()
+    return [
+        ("plane-bracket", linear_deformation(mu, ring.poisson_bracket((1, 0)), 3),
+         GaugeTransform([random_endomorphism(n, rng, 1) for _ in range(3)])),
+        ("fractions-order1", TruncatedDeformation(mu, [random_fraction_multimap(2, n, rng)]),
+         random_fraction_gauge(n, 1, rng)),
+        ("fractions-order2", TruncatedDeformation(
+            mu, [random_fraction_multimap(2, n, rng), random_fraction_multimap(2, n, rng)]),
+         random_fraction_gauge(n, 2, rng)),
+        ("zero-terms", TruncatedDeformation(
+            mu, [MultiMap.zero(2, n), random_fraction_multimap(2, n, rng), MultiMap.zero(2, n)]),
+         random_fraction_gauge(n, 3, rng, zero_orders=(2,))),
+        ("upper-triangular", TruncatedDeformation(
+            ut, [random_fraction_multimap(2, 3, rng) for _ in range(3)]),
+         random_fraction_gauge(3, 3, rng)),
+        ("upper-triangular-zero", zero_deformation(ut, 3),
+         GaugeTransform([random_endomorphism(3, rng, 2) for _ in range(3)])),
+    ]
+
+
+def test_gauge_and_defect_match_dense_reference(ring, rng):
+    for label, d, g in gauge_cases(ring, rng):
+        gd = gauge(d, g)
+        assert gd.terms == reference_gauge(d, g), label
+        for k in range(1, d.order + 1):
+            assert wa_defect(d, k) == reference_wa_defect(d, k), (label, k)
+            assert wa_defect(gd, k) == reference_wa_defect(gd, k), (label, k)
+        assert is_wa_deformation(gd) == is_wa_deformation(d), label
+
+
+def test_perturbed_gauged_deformation_rejected_by_both(mu, ring, rng):
+    n = mu.dim
+    d = linear_deformation(mu, ring.poisson_bracket((0, 1)), 3)
+    gd = gauge(d, GaugeTransform([random_endomorphism(n, rng, 1) for _ in range(3)]))
+    assert is_wa_deformation(gd)
+    assert all(reference_wa_defect(gd, k).is_zero() for k in (1, 2, 3))
+    bump = MultiMap(2, n, {(1, 2): {0: Fraction(1, 2)}})
+    for order in (1, 2):
+        terms = list(gd.terms)
+        terms[order - 1] = terms[order - 1] + bump
+        bad = TruncatedDeformation(mu, terms)
+        assert not is_wa_deformation(bad)
+        assert first_failing_order(bad) == order
+        defect = wa_defect(bad, order)
+        assert not defect.is_zero()
+        assert defect == reference_wa_defect(bad, order)

@@ -8,6 +8,7 @@ from wassoc.corpus import (
     flexible_non_wa,
     nonabelian_lie2,
     plane_quotient,
+    random_fraction_multimap,
     random_multimap,
     sl2,
     truncated_polynomials,
@@ -19,6 +20,7 @@ from wassoc.finalg import (
     MultiMap,
     algebra_from_json,
     algebra_to_json,
+    compose,
     depolarize,
     evaluate,
     inner_derivation_candidate,
@@ -60,8 +62,8 @@ def test_two_dim_family_associator_value():
         alg = two_dim_family(a)
         defect = evaluate(alg, associator())
         expected = -Fraction(a * a - 4, 16)
-        assert defect.values[(0, 0, 1)] == (0, expected)
-        assert defect.values[(1, 0, 0)] == (0, -expected)
+        assert defect(0, 0, 1) == (0, expected)
+        assert defect(1, 0, 0) == (0, -expected)
 
 
 def test_a6_example_matches_printed_products():
@@ -290,8 +292,83 @@ def test_multimap_json_roundtrip(rng):
 def test_multimap_permute_inputs():
     m = MultiMap.from_function(2, 2, lambda i, j: (i, j))
     t = m.permute_inputs((2, 1))
-    assert t.values[(0, 1)] == m.values[(1, 0)]
+    assert t(0, 1) == m(1, 0)
     sk = m.skew_part()
     assert sk.is_skew()
     sym = m.sym_part()
     assert sym.is_symmetric()
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ({(0, 2): (1, 0)}, ValueError),  # index out of range
+        ({(-1, 0): (1, 0)}, ValueError),
+        ({(0,): (1, 0)}, ValueError),  # wrong arity
+        ({(0, 0, 0): (1, 0)}, ValueError),
+        ({0: (1, 0)}, ValueError),  # not a tuple
+        ({(True, 0): (1, 0)}, ValueError),
+        ({(0, 0): (1,)}, ValueError),  # output vector too short
+        ({(0, 0): (1, 0, 0)}, ValueError),  # too long
+        ({(0, 0): {2: 1}}, ValueError),  # output coordinate out of range
+        ({(0, 0): (0.5, 0)}, TypeError),
+        ({(0, 0): (True, 0)}, TypeError),
+        ({(0, 0): {1: 1.0}}, TypeError),
+        ({(0, 0): ("1/2", 0)}, TypeError),
+    ],
+    ids=[
+        "index-high", "index-negative", "arity-short", "arity-long", "key-not-tuple",
+        "key-bool", "vector-short", "vector-long", "coordinate-high", "float",
+        "bool", "float-in-dict", "string",
+    ],
+)
+def test_multimap_constructor_rejects_bad_input(values, error):
+    with pytest.raises(error):
+        MultiMap(2, 2, values)
+
+
+def test_multimap_storage_is_sparse_and_integral():
+    m = MultiMap(2, 3, {(0, 1): (Fraction(4, 2), 0, Fraction(1, 3)), (1, 1): (0, 0, 0)})
+    assert m.coeffs == {(0, 1): {0: 2, 2: Fraction(1, 3)}}
+    assert type(m.coeffs[(0, 1)][0]) is int
+    assert m(0, 1) == (2, 0, Fraction(1, 3))
+    assert m(2, 2) == (0, 0, 0)
+    assert MultiMap(2, 3, {(0, 1): {0: 2, 2: Fraction(1, 3)}}) == m
+    assert m.scale(Fraction(3)).coeffs == {(0, 1): {0: 6, 2: 1}}
+    assert (m - m).coeffs == {} and (m - m).is_zero()
+    with pytest.raises(TypeError):
+        m.scale(0.5)
+
+
+def test_compose_matches_slot_substitution(rng):
+    dim = 3
+    for outer_arity, inner_arity in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)):
+        f = random_fraction_multimap(outer_arity, dim, rng)
+        g = random_fraction_multimap(inner_arity, dim, rng)
+        for slot in range(outer_arity):
+
+            def substituted(*idx):
+                inner = g(*idx[slot : slot + inner_arity])
+                out = [0] * dim
+                for a, c in enumerate(inner):
+                    pre, post = idx[:slot], idx[slot + inner_arity :]
+                    for t, x in enumerate(f(*pre, a, *post)):
+                        out[t] += c * x
+                return tuple(out)
+
+            expected = MultiMap.from_function(outer_arity + inner_arity - 1, dim, substituted)
+            assert compose(f, slot, g) == expected
+    with pytest.raises(ValueError):
+        compose(f, 2, g)
+    with pytest.raises(ValueError):
+        compose(f, 0, MultiMap.zero(1, dim + 1))
+
+
+def test_json_rationals_keep_integers_as_int():
+    doc = {"dim": 2, "products": [{"i": 1, "j": 2, "out": [{"k": 1, "c": "4/2"}, {"k": 2, "c": "1/2"}]}]}
+    alg = algebra_from_json(doc)
+    assert alg.c[0][1] == (2, Fraction(1, 2))
+    assert [type(x) for x in alg.c[0][1]] == [int, Fraction]
+    assert type(alg.c[1][1][0]) is int
+    m = multimap_from_json([[["3/1", "0/5"], ["-1/3", "2"]], [["0/1", "0/1"], ["6/4", "1/1"]]], 2)
+    assert m.coeffs == {(0, 0): {0: 3}, (0, 1): {0: Fraction(-1, 3), 1: 2}, (1, 1): {0: Fraction(3, 2), 1: 1}}

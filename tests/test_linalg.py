@@ -166,6 +166,56 @@ def test_matmul_and_apply():
     assert a.apply([1, 1]) == vector([3, 7])
 
 
+def naive_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The dense product `Matrix.__matmul__` replaced: every cell, zeros
+    included."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    cols = [b.col(j) for j in range(b.cols)]
+    return Matrix.from_rows([[sum(x * y for x, y in zip(r, c)) for c in cols] for r in a.entries])
+
+
+def random_sparse_matrix(rng, rows, cols, zero_rows=(), zero_cols=()):
+    """Fractions with denominators up to 6, about half the cells zero; built
+    directly so that 0 x k and n x 0 shapes keep their other dimension."""
+    return Matrix(
+        rows,
+        cols,
+        tuple(
+            vector(
+                0
+                if i in zero_rows or j in zero_cols or rng.random() < 0.5
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for j in range(cols)
+            )
+            for i in range(rows)
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "shape", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (4, 5, 3), (7, 7, 7)]
+)
+def test_matmul_and_apply_match_dense_product(shape, rng):
+    n, k, m = shape
+    for trial in range(10):
+        zero_rows = {0} if n and trial % 2 else set()
+        zero_cols = {k - 1} if k and trial % 3 == 0 else set()
+        a = random_sparse_matrix(rng, n, k, zero_rows, zero_cols)
+        b = random_sparse_matrix(rng, k, m, zero_cols={0} if m and trial % 2 else ())
+        product = a @ b
+        assert product == naive_matmul(a, b)
+        assert all(type(x) is Fraction for row in product.entries for x in row)
+        v = random_sparse_matrix(rng, 1, k).entries[0] if k else ()
+        applied = a.apply(v)
+        assert applied == tuple(sum(x * y for x, y in zip(r, v)) for r in a.entries)
+        assert all(type(x) is Fraction for x in applied)
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3) @ Matrix.zero(2, 3)
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3).apply([1, 2])
+
+
 def test_same_span():
     a = [vector([1, 0, 0]), vector([0, 1, 0])]
     b = [vector([1, 1, 0]), vector([1, -1, 0])]
