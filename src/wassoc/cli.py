@@ -118,17 +118,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_freewa(args) -> int:
-    from .freewa import as_truncated_algebra, build, multiply
+    from .freewa import build, multiply
 
     basis = build(args.max_degree)
+    labels = basis.all_labels()
     doc = {
         "max_degree": args.max_degree,
         "dims": basis.dims(),
-        "labels": [str(l) for l in basis.all_labels()],
+        "labels": [str(l) for l in labels],
     }
-    trunc = as_truncated_algebra(basis)
     table = []
-    labels = trunc.labels
     for i, u in enumerate(labels):
         for j, v in enumerate(labels):
             if i <= j and 0 < u.degree and 0 < v.degree and u.degree + v.degree <= args.max_degree:
@@ -232,13 +231,8 @@ def cmd_delta3(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    from .deform import (
-        deformation_from_json,
-        first_failing_order,
-        is_wa_deformation,
-        quantization,
-    )
-    from .finalg import is_commutative
+    from .deform import deformation_from_json, first_failing_order, quantization
+    from .finalg import is_commutative, is_weakly_associative
 
     try:
         deformation = deformation_from_json(_load_json(args.file))
@@ -254,12 +248,18 @@ def cmd_deform(args) -> int:
             return USAGE_ERROR
         deformation.terms[:] = deformation.terms[: args.order]
     doc = {"order": deformation.order, "base_dim": deformation.base.dim}
-    ok = is_wa_deformation(deformation)
+    base = deformation.base
+    base_ok = is_weakly_associative(base)
+    # quantization finds the first failing order itself; it is not recomputed
+    q = None
+    if base_ok and is_commutative(base) and deformation.order >= 2:
+        q = quantization(deformation)
+    failing = q.first_failing_order if q is not None else first_failing_order(deformation)
+    ok = base_ok and failing is None
     doc["weakly_associative"] = ok
     if not ok:
-        doc["first_failing_order"] = first_failing_order(deformation)
-    if ok and is_commutative(deformation.base) and deformation.order >= 2:
-        q = quantization(deformation)
+        doc["first_failing_order"] = failing
+    if ok and q is not None:
         doc["quantization"] = {
             "jacobi": q.jacobi_ok,
             "leibniz": q.leibniz_ok,

@@ -118,6 +118,7 @@ class QuantizationReport:
     jacobi_ok: bool
     leibniz_ok: bool
     poisson_ok: bool
+    first_failing_order: int | None
     failure: str | None = None
 
 
@@ -157,6 +158,7 @@ def quantization(deformation: TruncatedDeformation) -> QuantizationReport:
         jacobi_ok=jacobi_ok,
         leibniz_ok=leibniz_ok,
         poisson_ok=poisson_ok,
+        first_failing_order=failing,
         failure=failure,
     )
 

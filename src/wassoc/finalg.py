@@ -29,7 +29,8 @@ from .linalg import Matrix, as_rational
 
 
 class FinAlg:
-    """Structure constants c[i][j] = coordinate tuple of e_i * e_j."""
+    """Structure constants c[i][j] = coordinate tuple of e_i * e_j; entries
+    must be ints or Fractions (bools, floats and strings are rejected)."""
 
     __slots__ = ("dim", "c")
 
@@ -40,6 +41,11 @@ class FinAlg:
             len(plane) != dim or any(len(v) != dim for v in plane) for plane in table
         ):
             raise ValueError("structure constant table must be dim x dim x dim")
+        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(table))
+        bad = set(map(type, entries)) - {int, Fraction}
+        if bad:
+            names = ", ".join(sorted(t.__name__ for t in bad))
+            raise TypeError(f"structure constants must be int or Fraction, not {names}")
         self.c = table
 
     @staticmethod

@@ -156,9 +156,6 @@ class FreeTruncation:
     index: dict
     max_degree: int
 
-    def degree_of(self, i: int) -> int:
-        return self.labels[i].degree
-
 
 def as_truncated_algebra(basis: GradedBasis, max_degree: int | None = None) -> FreeTruncation:
     if max_degree is None:

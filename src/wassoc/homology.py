@@ -1,4 +1,4 @@
-"""Degree-graded chain complexes over the truncated free algebra.
+"""Degree-graded chain complexes over the free one-generator algebra.
 
 Chains of length n are (n+1)-tuples of basis labels, graded by total degree;
 the boundary maps are
@@ -10,39 +10,58 @@ the boundary maps are
 with the weakly associative variants
   b2^wa = b2 + b2 . cyclic - b2 . swap12  and  b3^wa = b3 + b3 . swap24.
 
-Every product in a degree-k boundary stays in degree k, so homology in degree
-k is exact as soon as the truncation bound is at least k.
+The complex is built from the labels of `freewa.build`: every product is
+`multiply(u, v)`, looked up in the label index.  Every product in a degree-k
+boundary stays in degree k, so homology in degree k is exact as soon as the
+degree bound is at least k.  Each boundary is kept as sparse integer columns
+`{target chain index: coefficient}`, and ranks are taken on those columns
+with `linalg.sparse_rank`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freewa import FreeTruncation, as_truncated_algebra, build
-from .linalg import Matrix, rank
+from .freewa import Label, build, multiply
+from .linalg import Matrix, sparse_rank
 
 
 @dataclass
 class ChainComplex:
-    trunc: FreeTruncation
+    """Chains on the labels of degree at most `max_degree` (`index` maps a
+    label to its position in `labels`).  Chain bases, boundaries and ranks
+    are computed once and kept."""
+
+    labels: list[Label]
+    index: dict[Label, int]
+    max_degree: int
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def up_to_degree(max_degree: int) -> "ChainComplex":
-        return ChainComplex(as_truncated_algebra(build(max_degree)))
+        labels = build(max_degree).all_labels()
+        return ChainComplex(labels, {l: i for i, l in enumerate(labels)}, max_degree)
+
+    def _cached(self, key, compute):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = compute()
+        return value
 
     def _check_degree(self, k: int):
-        if k > self.trunc.max_degree:
+        if k > self.max_degree:
             raise ValueError(
-                f"degree {k} beyond the trusted bound {self.trunc.max_degree}"
+                f"degree {k} beyond the trusted bound {self.max_degree}"
             )
 
-    def chain_basis(self, n: int, k: int) -> list[tuple[int, ...]]:
-        """Index tuples (m, a1..an) with degrees summing to k, lex order."""
+    def _basis(self, n: int, k: int) -> list[tuple[int, ...]]:
         self._check_degree(k)
-        labels = self.trunc.labels
+        return self._cached(("basis", n, k), lambda: self._enumerate_chains(n, k))
+
+    def _enumerate_chains(self, n: int, k: int) -> list[tuple[int, ...]]:
         by_degree: dict[int, list[int]] = {}
-        for i, l in enumerate(labels):
+        for i, l in enumerate(self.labels):
             by_degree.setdefault(l.degree, []).append(i)
         out = []
 
@@ -58,127 +77,118 @@ class ChainComplex:
         rec([], k, n + 1)
         return out
 
+    def chain_basis(self, n: int, k: int) -> list[tuple[int, ...]]:
+        """Index tuples (m, a1..an) with degrees summing to k, lex order."""
+        return list(self._basis(n, k))
+
     def chain_dim(self, n: int, k: int) -> int:
-        return len(self.chain_basis(n, k))
+        return len(self._basis(n, k))
 
-    def _raw_boundary_terms(self, n: int, chain: tuple[int, ...]):
-        """Image of one basis chain under b_n: list of (coeff, target chain).
-        Products of basis labels are single basis labels here (or drop to the
-        zero chain above the bound, which cannot happen within degree k)."""
-        alg = self.trunc.algebra
-        idx = self.trunc.index
-        labels = self.trunc.labels
+    def _product(self, i: int, j: int) -> int:
+        """Index of the product of labels i and j (within the degree bound)."""
+        key = ("product", i, j) if i <= j else ("product", j, i)
+        return self._cached(
+            key, lambda: self.index[multiply(self.labels[i], self.labels[j])]
+        )
 
-        def prod(i, j):
-            vec = alg.product(i, j)
-            hits = [t for t, q in enumerate(vec) if q != 0]
-            if not hits:
-                return None
-            return hits[0]
-
-        m, rest = chain[0], list(chain[1:])
-        out = []
-        p = prod(m, rest[0])
-        if p is not None:
-            out.append((1, tuple([p] + rest[1:])))
+    def _raw_boundary_terms(self, chain: tuple[int, ...]):
+        """Image of one basis chain under b_n: list of (coeff, target chain)."""
+        prod = self._product
+        m, rest = chain[0], chain[1:]
+        out = [(1, (prod(m, rest[0]),) + rest[1:])]
         sign = -1
         for i in range(len(rest) - 1):
-            p = prod(rest[i], rest[i + 1])
-            if p is not None:
-                out.append((sign, tuple([m] + rest[:i] + [p] + rest[i + 2 :])))
+            out.append((sign, (m,) + rest[:i] + (prod(rest[i], rest[i + 1]),) + rest[i + 2 :]))
             sign = -sign
-        p = prod(rest[-1], m)
-        if p is not None:
-            out.append((sign, tuple([p] + rest[:-1])))
+        out.append((sign, (prod(rest[-1], m),) + rest[:-1]))
         return out
 
     def _boundary_on_chain(self, n: int, chain: tuple[int, ...], variant: str):
-        if variant == "plain":
-            return self._raw_boundary_terms(n, chain)
-        if variant != "wa":
-            raise ValueError(f"unknown variant {variant!r}")
-        if n == 1:
-            return self._raw_boundary_terms(1, chain)
+        if variant == "plain" or n == 1:
+            return self._raw_boundary_terms(chain)
         if n == 2:
             m, a2, a3 = chain
-            out = []
-            for coeff, src in ((1, (m, a2, a3)), (1, (a2, a3, m)), (-1, (a2, m, a3))):
-                for c, t in self._raw_boundary_terms(2, src):
-                    out.append((coeff * c, t))
-            return out
-        if n == 3:
-            m, a2, a3, a4 = chain
-            out = []
-            for src in ((m, a2, a3, a4), (m, a4, a3, a2)):
-                out.extend(self._raw_boundary_terms(3, src))
-            return out
-        raise ValueError("chain length must be 1, 2 or 3")
+            return [
+                (coeff * c, t)
+                for coeff, src in ((1, (m, a2, a3)), (1, (a2, a3, m)), (-1, (a2, m, a3)))
+                for c, t in self._raw_boundary_terms(src)
+            ]
+        m, a2, a3, a4 = chain
+        return self._raw_boundary_terms(chain) + self._raw_boundary_terms((m, a4, a3, a2))
+
+    def _columns(self, n: int, k: int, variant: str) -> list[dict[int, int]]:
+        """b_n (or its wa variant) on C_n^k as sparse integer columns: one
+        {index in C_(n-1)^k: coefficient} per source chain, zeros dropped."""
+        if n not in (1, 2, 3):
+            raise ValueError("chain length must be 1, 2 or 3")
+        if variant not in ("plain", "wa"):
+            raise ValueError(f"unknown variant {variant!r}")
+
+        def compute():
+            dst_index = {c: i for i, c in enumerate(self._basis(n - 1, k))}
+            cols = []
+            for chain in self._basis(n, k):
+                col: dict[int, int] = {}
+                for coeff, target in self._boundary_on_chain(n, chain, variant):
+                    t = dst_index[target]
+                    col[t] = col.get(t, 0) + coeff
+                cols.append({t: c for t, c in col.items() if c})
+            return cols
+
+        return self._cached(("boundary", n, k, variant), compute)
 
     def boundary(self, n: int, k: int, variant: str = "plain") -> Matrix:
         """Matrix of b_n (or its wa variant) from C_n^k to C_(n-1)^k."""
-        if n not in (1, 2, 3):
-            raise ValueError("chain length must be 1, 2 or 3")
-        src = self.chain_basis(n, k)
-        dst = self.chain_basis(n - 1, k)
-        dst_index = {c: i for i, c in enumerate(dst)}
-        cols = []
-        for chain in src:
-            col = [Fraction(0)] * len(dst)
-            for coeff, target in self._boundary_on_chain(n, chain, variant):
-                col[dst_index[target]] += coeff
-            cols.append(col)
-        return Matrix.from_rows(
-            [[cols[j][i] for j in range(len(src))] for i in range(len(dst))]
-        )
+        cols = self._columns(n, k, variant)
+        zero = Fraction(0)
+        entries = [[zero] * len(cols) for _ in range(self.chain_dim(n - 1, k))]
+        for j, col in enumerate(cols):
+            for i, c in col.items():
+                entries[i][j] = Fraction(c)
+        return Matrix(len(entries), len(cols), tuple(map(tuple, entries)))
+
+    def _rank(self, n: int, k: int) -> int:
+        """Rank in degree k of the boundary b_n that homology uses: b1, b2
+        and b3^wa."""
+        variant = "wa" if n == 3 else "plain"
+        return self._cached(("rank", n, k), lambda: sparse_rank(self._columns(n, k, variant)))
 
     def homology_dim(self, n: int, k: int) -> int:
         """H_0 = C_0 / im b_1;  H_1 = ker b_1 / im b_2;  H_2 = ker b_2 / im b_3^wa."""
         self._check_degree(k)
-        if n == 0:
-            return self.chain_dim(0, k) - rank(self.boundary(1, k, "plain"))
-        if n == 1:
-            ker = self.chain_dim(1, k) - rank(self.boundary(1, k, "plain"))
-            return ker - rank(self.boundary(2, k, "plain"))
-        if n == 2:
-            b2 = self.boundary(2, k, "plain")
-            ker = self.chain_dim(2, k) - rank(b2)
-            return ker - rank(self.boundary(3, k, "wa"))
-        raise ValueError("homology implemented for chain degrees 0, 1, 2")
+        if n not in (0, 1, 2):
+            raise ValueError("homology implemented for chain degrees 0, 1, 2")
+        kernel = self.chain_dim(n, k) - (self._rank(n, k) if n else 0)
+        return kernel - self._rank(n + 1, k)
 
     def table(self, max_degree: int | None = None) -> list[dict]:
         """Rows {n, k, dimC, rank, dimH} for n = 0..2, k = 0..bound."""
-        bound = self.trunc.max_degree if max_degree is None else max_degree
-        rows = []
-        for n in range(0, 3):
-            for k in range(0, bound + 1):
-                bmat = self.boundary(n + 1, k, "wa" if n == 2 else "plain")
-                rows.append(
-                    {
-                        "n": n,
-                        "k": k,
-                        "dimC": self.chain_dim(n, k),
-                        "rank": rank(bmat),
-                        "dimH": self.homology_dim(n, k),
-                    }
-                )
-        return rows
+        bound = self.max_degree if max_degree is None else max_degree
+        return [
+            {
+                "n": n,
+                "k": k,
+                "dimC": self.chain_dim(n, k),
+                "rank": self._rank(n + 1, k),
+                "dimH": self.homology_dim(n, k),
+            }
+            for n in range(0, 3)
+            for k in range(0, bound + 1)
+        ]
 
     def composition_vanishing_report(self, max_degree: int | None = None) -> dict:
-        """Matrix-level checks: b1 b2 = 0 and b2 b3^wa = 0 in every degree up
-        to the bound, plus agreement of b2 with its wa variant (the algebra is
-        commutative, so the two boundaries coincide)."""
-        bound = self.trunc.max_degree if max_degree is None else max_degree
+        """Checks on the sparse columns: b1 b2 = 0 and b2 b3^wa = 0 in every
+        degree up to the bound, plus agreement of b2 with its wa variant (the
+        algebra is commutative, so the two boundaries coincide)."""
+        bound = self.max_degree if max_degree is None else max_degree
         b1b2 = []
         b2b3 = []
         b2_variants_equal = []
         for k in range(0, bound + 1):
-            b1 = self.boundary(1, k, "plain")
-            b2 = self.boundary(2, k, "plain")
-            b2wa = self.boundary(2, k, "wa")
-            b3wa = self.boundary(3, k, "wa")
-            b1b2.append((b1 @ b2).is_zero())
-            b2b3.append((b2 @ b3wa).is_zero())
-            b2_variants_equal.append(b2 == b2wa)
+            b2 = self._columns(2, k, "plain")
+            b1b2.append(_composite_is_zero(self._columns(1, k, "plain"), b2))
+            b2b3.append(_composite_is_zero(b2, self._columns(3, k, "wa")))
+            b2_variants_equal.append(b2 == self._columns(2, k, "wa"))
         return {
             "b1b2_zero": all(b1b2),
             "b2b3wa_zero": all(b2b3),
@@ -192,6 +202,18 @@ class ChainComplex:
                 for k in range(bound + 1)
             },
         }
+
+
+def _composite_is_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
+    """True iff outer . inner = 0, both maps given as sparse columns."""
+    for col in inner:
+        acc: dict[int, int] = {}
+        for t, c in col.items():
+            for s, d in outer[t].items():
+                acc[s] = acc.get(s, 0) + c * d
+        if any(acc.values()):
+            return False
+    return True
 
 
 def b1b2_symbolic_identity() -> bool:

@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Every dimension, rank and span fact computed by this package reduces to one
-row reduction, `rref`, so the routines here are exact.  `Matrix` entries are
+forward elimination, so the routines here are exact.  `Matrix` entries are
 `fractions.Fraction` (plain ints are accepted and promoted; bools and floats
-are rejected).  `rref` eliminates fraction-free: each row is cleared of
+are rejected).  The elimination is fraction-free: each row is cleared of
 denominators and stored as a sparse `{column: int}` row divided by the gcd of
-its entries, rows are combined as `a*row - b*pivot` with coprime `a, b`, and
-only the final pivot rows are divided out into `Fraction`s.  The result is
-still the unique reduced row-echelon form over Q, so reduced forms, kernel
-bases and report output do not depend on how the elimination proceeds.
+its entries, and rows are combined as `a*row - b*pivot` with coprime `a, b`.
+`rank` and `sparse_rank` (integer rows given directly as `{column: int}`
+dicts) stop there; `rref` back-substitutes and divides the pivot rows out
+into `Fraction`s.  The result is still the unique reduced row-echelon form
+over Q, so reduced forms, kernel bases and report output do not depend on
+how the elimination proceeds.
 """
 
 from __future__ import annotations
@@ -153,6 +155,32 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int
     return _primitive(out)
 
 
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward elimination of nonzero integer rows: returns primitive echelon
+    rows keyed by their leading column.  Each row is reduced on its leading
+    column until that column has no pivot yet."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _primitive(row)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row = _eliminate(row, pivot, lead)
+    return pivots
+
+
+def _integer_rows(m: Matrix):
+    """The nonzero rows of m, each cleared of denominators, as {col: int}."""
+    for entries in m.entries:
+        nonzero = [(j, x) for j, x in enumerate(entries) if x]
+        if nonzero:
+            den = lcm(*(x.denominator for _, x in nonzero))
+            yield {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+
+
 def rref(m: Matrix) -> tuple[int, Matrix]:
     """Reduced row-echelon form: returns (rank, reduced).
 
@@ -162,22 +190,7 @@ def rref(m: Matrix) -> tuple[int, Matrix]:
     """
     if m.rows == 0:
         return 0, Matrix(0, 0, ())
-    # Echelon form: each nonzero row, cleared of denominators, is reduced on
-    # its leading column until that column has no pivot yet.
-    pivots: dict[int, dict[int, int]] = {}
-    for entries in m.entries:
-        nonzero = [(j, x) for j, x in enumerate(entries) if x]
-        if not nonzero:
-            continue
-        den = lcm(*(x.denominator for _, x in nonzero))
-        row = _primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero})
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            row = _eliminate(row, pivot, lead)
+    pivots = _echelon(_integer_rows(m))
     # Back substitution, last pivot first, so each row is cleared of the
     # later pivot columns using rows that are already fully reduced.
     order = sorted(pivots)
@@ -200,7 +213,20 @@ def rref(m: Matrix) -> tuple[int, Matrix]:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[0]
+    return len(_echelon(_integer_rows(m)))
+
+
+def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of integer rows given as {column: int} dicts; zero entries
+    and empty rows are allowed, non-integer entries are rejected."""
+    nonzero = []
+    for row in rows:
+        if set(map(type, row)) - {int} or set(map(type, row.values())) - {int}:
+            raise TypeError("sparse rows map int columns to int entries")
+        row = {j: v for j, v in row.items() if v}
+        if row:
+            nonzero.append(row)
+    return len(_echelon(nonzero))
 
 
 def pivot_columns(reduced: Matrix, rk: int) -> list[int]:

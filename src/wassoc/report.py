@@ -582,7 +582,8 @@ def _deform_checks(rep: Report, rng: random.Random):
         "deform.linear-quantization",
         "the weighted-bracket linear deformation of the plane quotient is "
         "weakly associative through order 3 and its bracket is Poisson",
-        is_wa_deformation(lin) and q.poisson_ok and q.failure is None,
+        # no failure also means that no order fails weak associativity
+        q.poisson_ok and q.failure is None,
     )
     naive = ring.bracket_algebra((0, 0))
     rep.add(

@@ -5,7 +5,8 @@ import pytest
 
 from wassoc.cli import main
 from wassoc.corpus import two_dim_family
-from wassoc.deform import deformation_to_json, linear_deformation
+from wassoc import deform
+from wassoc.deform import deformation_to_json, linear_deformation, wa_defect
 from wassoc.finalg import FinAlg, algebra_to_json
 from wassoc.corpus import plane_quotient
 
@@ -143,6 +144,28 @@ def test_deform_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["weakly_associative"] is True
     assert doc["quantization"]["poisson"] is True
+
+
+def test_deform_computes_each_order_once(tmp_path, capsys, monkeypatch):
+    ring = plane_quotient()
+    d = linear_deformation(ring.algebra(), ring.poisson_bracket((1, 0)), order=3)
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps(deformation_to_json(d)))
+    orders = []
+
+    def counting(deformation, k):
+        orders.append(k)
+        return wa_defect(deformation, k)
+
+    monkeypatch.setattr(deform, "wa_defect", counting)
+    assert main(["deform", "--file", str(path), "--format", "json"]) == 0
+    assert orders == [1, 2, 3]
+    assert json.loads(capsys.readouterr().out) == {
+        "order": 3,
+        "base_dim": ring.algebra().dim,
+        "weakly_associative": True,
+        "quantization": {"jacobi": True, "leibniz": True, "poisson": True, "failure": None},
+    }
 
 
 def test_deform_invalid_deformation_exits_1(tmp_path, capsys):

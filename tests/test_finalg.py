@@ -327,6 +327,21 @@ def test_multimap_constructor_rejects_bad_input(values, error):
         MultiMap(2, 2, values)
 
 
+@pytest.mark.parametrize("entry", [0.1, True, "1"], ids=["float", "bool", "string"])
+def test_finalg_constructor_rejects_inexact_entries(entry):
+    with pytest.raises(TypeError):
+        FinAlg(1, [[[entry]]])
+    with pytest.raises(TypeError):
+        FinAlg(2, [[[1, 0], [0, 0]], [[0, 0], [0, entry]]])
+
+
+def test_finalg_constructor_accepts_int_and_fraction():
+    alg = FinAlg(2, [[[1, 0], [0, Fraction(1, 2)]], [[0, Fraction(-3)], [0, 0]]])
+    assert alg.product(0, 1) == (0, Fraction(1, 2))
+    assert alg.product(1, 0) == (0, -3)
+    assert FinAlg(0, []).dim == 0
+
+
 def test_multimap_storage_is_sparse_and_integral():
     m = MultiMap(2, 3, {(0, 1): (Fraction(4, 2), 0, Fraction(1, 3)), (1, 1): (0, 0, 0)})
     assert m.coeffs == {(0, 1): {0: 2, 2: Fraction(1, 3)}}

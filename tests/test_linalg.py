@@ -16,6 +16,7 @@ from wassoc.linalg import (
     row_space_basis,
     rref,
     same_span,
+    sparse_rank,
     vector,
 )
 from wassoc.operads import consequences, wa_relation_space
@@ -58,6 +59,7 @@ def assert_agrees_with_reference(m: Matrix, monkeypatch):
     expected = reference_rref(m)
     rk, red = rref(m)
     assert (rk, red) == expected
+    assert rank(m) == rk
     assert all(type(x) is Fraction for row in red.entries for x in row)
     kernel = kernel_basis(m)
     with monkeypatch.context() as patched:
@@ -254,6 +256,47 @@ def test_rref_matches_reference_on_homology_b2(monkeypatch):
     complex9 = ChainComplex.up_to_degree(9)
     for k in (6, 9):
         assert_agrees_with_reference(complex9.boundary(2, k, "plain"), monkeypatch)
+
+
+def integer_rows(m: Matrix) -> list[dict[int, int]]:
+    return [{j: int(x) for j, x in enumerate(row) if x} for row in m.entries]
+
+
+def test_sparse_rank_matches_reference_on_homology_b2():
+    complex9 = ChainComplex.up_to_degree(9)
+    for k in (6, 9):
+        b2 = complex9.boundary(2, k, "plain")
+        expected = reference_rref(b2)[0]
+        assert sparse_rank(integer_rows(b2)) == expected
+        assert sparse_rank(integer_rows(b2.transpose())) == expected
+
+
+def test_sparse_rank_matches_reference_on_random_integer_rows(rng):
+    for trial in range(40):
+        cols = rng.randint(1, 9)
+        dense = [
+            [0 if rng.random() < 0.6 else rng.randint(-10**6, 10**6) for _ in range(cols)]
+            for _ in range(rng.randint(1, 9))
+        ]
+        dense.append([0] * cols)
+        dense.append(list(dense[rng.randrange(len(dense))]))
+        rng.shuffle(dense)
+        # explicit zero entries and empty rows are allowed in the input
+        rows = [{j: x for j, x in enumerate(r) if x or rng.random() < 0.3} for r in dense]
+        rows.append({})
+        expected = reference_rref(Matrix.from_rows(dense))[0]
+        assert sparse_rank(rows) == expected, trial
+        assert sparse_rank(iter(rows)) == expected
+    assert sparse_rank([]) == 0
+    assert sparse_rank([{}, {3: 0}]) == 0
+
+
+@pytest.mark.parametrize(
+    "row", [{0: 0.5}, {0: True}, {0: Fraction(1, 2)}, {0: "1"}, {"0": 1}, {1.0: 1}]
+)
+def test_sparse_rank_rejects_non_integer_rows(row):
+    with pytest.raises(TypeError):
+        sparse_rank([{1: 1}, row])
 
 
 def test_rref_matches_reference_on_random_rationals(rng, monkeypatch):
