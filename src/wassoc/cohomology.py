@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .finalg import (
     FinAlg,
@@ -27,7 +28,7 @@ from .finalg import (
     product_map,
 )
 from .identities import LEAF
-from .linalg import Matrix, Vector, kernel_basis, pivot_columns, reduce_modulo, rref
+from .linalg import Matrix, Vector, kernel_basis, sparse_reduce, sparse_rref
 from .symgroup import (
     C3,
     ID3,
@@ -442,9 +443,12 @@ def _consequence_generators() -> tuple[list[dict], list[dict]]:
 
 @dataclass
 class Delta3System:
-    """Raw and reduced forms of the degree-3 ansatz system."""
+    """The degree-3 ansatz system: its size as assembled (one equation per
+    free monomial, one unknown per ansatz term), the rank of the consequence
+    span, and the system reduced modulo that span with its kernel."""
 
-    matrix: Matrix                      # 360 x 120, one row per free monomial
+    assembled_rows: int                 # 360 free monomials
+    columns: int                        # 120 unknowns
     unknowns: list[tuple[str, tuple[int, ...]]]
     monomials: list = field(repr=False)
     consequence_dim: int = 0
@@ -454,14 +458,6 @@ class Delta3System:
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel)
-
-    @property
-    def assembled_rows(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def columns(self) -> int:
-        return self.matrix.cols
 
 
 def build_delta3_system() -> Delta3System:
@@ -475,36 +471,38 @@ def build_delta3_system() -> Delta3System:
 
     cols = []
     for fam, images in unknowns:
-        col = [0] * nrows
+        col: dict[int, int] = {}
         for tree, labels, c in _column_monomials(fam, images):
-            col[index[(tree, labels)]] += c
+            i = index[(tree, labels)]
+            col[i] = col.get(i, 0) + c
         cols.append(col)
-    raw = Matrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
 
     inner, outer = _consequence_generators()
-    conseq_rows = []
-    for gen in inner + outer:
-        row = [0] * nrows
-        for key, c in gen.items():
-            row[index[key]] += c
-        conseq_rows.append(row)
-    conseq = Matrix.from_rows(conseq_rows)
-    conseq_rank, conseq_red = rref(conseq)
-
-    pivot_set = set(pivot_columns(conseq_red, conseq_rank))
-    free_coords = [j for j in range(nrows) if j not in pivot_set]
+    pivots = sparse_rref(
+        ({index[key]: c for key, c in gen.items()} for gen in inner + outer), nrows
+    )
     # Normal form of each column modulo the consequence span, restricted to
     # the coordinates that are not pivots of that span.
-    normals = [reduce_modulo(conseq_red, conseq_rank, col) for col in cols]
-    reduced = Matrix.from_rows([[n[i] for n in normals] for i in free_coords])
-    kernel = kernel_basis(reduced)
+    normals = [sparse_reduce(pivots, col) for col in cols]
+    pivot_set = {next(iter(row)) for row in pivots}
+    zero = Fraction(0)
+    reduced = Matrix(
+        nrows - len(pivots),
+        len(cols),
+        tuple(
+            tuple(n.get(i, zero) for n in normals)
+            for i in range(nrows)
+            if i not in pivot_set
+        ),
+    )
     return Delta3System(
-        matrix=raw,
+        assembled_rows=nrows,
+        columns=len(cols),
         unknowns=unknowns,
         monomials=basis,
-        consequence_dim=conseq_rank,
+        consequence_dim=len(pivots),
         reduced_matrix=reduced,
-        kernel=kernel,
+        kernel=kernel_basis(reduced),
     )
 
 

@@ -5,13 +5,18 @@ the shape is a full binary tree with n leaves, the labeling assigns the
 variable indices 1..n to the leaves left to right.  The associator, the
 weak-associativity expression, flexibility, Lie admissibility and the Leibniz
 expression all live here, and the symmetric-group algebra acts by relabeling.
+The coordinate order of each arity (`monomial_order`) and its index are
+built once; an identity is ranked as its sparse row (`sparse_row`,
+{column: coefficient}) through `linalg.sparse_rref`, and `coordinates` gives
+the dense vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .linalg import as_rational
 from .symgroup import GroupAlgebraElement, Perm, sigma_basis
@@ -40,6 +45,22 @@ def shapes(n: int) -> tuple:
             for r in shapes(n - left_leaves):
                 out.append((l, r))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def monomial_order(arity: int) -> tuple[tuple, ...]:
+    """Canonical (shape, labels) order of the free arity-n component: shapes
+    in canonical order, labelings in the group-basis order.  Position i is
+    coordinate i of `MultilinearIdentity.coordinates` and column i of
+    `MultilinearIdentity.sparse_row`."""
+    return tuple((shape, p.images) for shape in shapes(arity) for p in sigma_basis(arity))
+
+
+@lru_cache(maxsize=None)
+def _monomial_index(arity: int) -> Mapping[tuple, int]:
+    """(shape, labels) -> position in `monomial_order(arity)`, read-only
+    because every identity of that arity shares it."""
+    return MappingProxyType({key: i for i, key in enumerate(monomial_order(arity))})
 
 
 def leaf_count(shape: Shape) -> int:
@@ -112,22 +133,27 @@ class MultilinearIdentity:
         return self.coeffs.get((shape, tuple(labels)), Fraction(0))
 
     def monomial_basis(self) -> list[tuple]:
-        """Canonical (shape, labels) order of the full arity-n component:
-        shapes in canonical order, labelings in the group-basis order."""
-        return [
-            (shape, p.images)
-            for shape in shapes(self.arity)
-            for p in sigma_basis(self.arity)
-        ]
+        """Canonical (shape, labels) order of the full arity-n component, as
+        in `monomial_order`."""
+        return list(monomial_order(self.arity))
 
     def coordinates(self) -> tuple[Fraction, ...]:
-        return tuple(self.coeffs.get(k, Fraction(0)) for k in self.monomial_basis())
+        index = _monomial_index(self.arity)
+        out = [Fraction(0)] * len(index)
+        for key, q in self.coeffs.items():
+            out[index[key]] = q
+        return tuple(out)
+
+    def sparse_row(self) -> dict[int, Fraction]:
+        """The nonzero coordinates as {position in `monomial_order`: coefficient}."""
+        index = _monomial_index(self.arity)
+        return {index[key]: q for key, q in self.coeffs.items()}
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
-        for key in self.monomial_basis():
+        for key in monomial_order(self.arity):
             if key not in self.coeffs:
                 continue
             q = self.coeffs[key]

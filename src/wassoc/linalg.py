@@ -7,10 +7,13 @@ are rejected).  The elimination is fraction-free: each row is cleared of
 denominators and stored as a sparse `{column: int}` row divided by the gcd of
 its entries, and rows are combined as `a*row - b*pivot` with coprime `a, b`.
 `rank` and `sparse_rank` (integer rows given directly as `{column: int}`
-dicts) stop there; `rref` back-substitutes and divides the pivot rows out
-into `Fraction`s.  The result is still the unique reduced row-echelon form
-over Q, so reduced forms, kernel bases and report output do not depend on
-how the elimination proceeds.
+dicts) stop there.  `sparse_rref` takes sparse rational rows
+(`{column: int | Fraction}` plus a column count), back-substitutes and
+divides the pivot rows out into sparse `Fraction` rows; `rref` is the thin
+wrapper that feeds it the rows of a `Matrix`, and `sparse_reduce` (dense
+form: `reduce_modulo`) takes normal forms modulo its result.  The result is
+still the unique reduced row-echelon form over Q, so reduced forms, kernel
+bases and report output do not depend on how the elimination proceeds.
 """
 
 from __future__ import annotations
@@ -172,25 +175,49 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
+def _cleared(row: Iterable[tuple[int, int | Fraction]]) -> dict[int, int]:
+    """The nonzero entries of a rational row times the lcm of their
+    denominators, as {col: int}."""
+    nonzero = [(j, x) for j, x in row if x]
+    den = lcm(*(x.denominator for _, x in nonzero))
+    return {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+
+
 def _integer_rows(m: Matrix):
     """The nonzero rows of m, each cleared of denominators, as {col: int}."""
     for entries in m.entries:
-        nonzero = [(j, x) for j, x in enumerate(entries) if x]
-        if nonzero:
-            den = lcm(*(x.denominator for _, x in nonzero))
-            yield {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+        row = _cleared(enumerate(entries))
+        if row:
+            yield row
 
 
-def rref(m: Matrix) -> tuple[int, Matrix]:
-    """Reduced row-echelon form: returns (rank, reduced).
+def dense_row(row: dict[int, Fraction], cols: int) -> Vector:
+    """The length-`cols` vector of a sparse {col: Fraction} row, with
+    `Fraction` zeros elsewhere."""
+    out = [Fraction(0)] * cols
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
 
-    The reduced form is the unique RREF of the row space, with pivots scaled
-    to 1, zero rows trailing and `Fraction` entries; a matrix with no rows
-    reduces to the 0 x 0 matrix.
+
+def sparse_rref(rows: Iterable[dict[int, int | Fraction]], cols: int) -> list[dict[int, Fraction]]:
+    """Reduced row-echelon form of sparse rational rows over `cols` columns.
+
+    Rows are {column: int | Fraction} dicts; zero entries and empty rows are
+    allowed.  Returns the nonzero rows of the unique RREF of their span, in
+    pivot order, each a {column: Fraction} dict of its nonzero entries with
+    its leading entry 1; the rank is their number.
     """
-    if m.rows == 0:
-        return 0, Matrix(0, 0, ())
-    pivots = _echelon(_integer_rows(m))
+    integral = []
+    for row in rows:
+        if any(type(x) is not int and type(x) is not Fraction for x in row.values()):
+            raise TypeError("sparse rows map columns to int or Fraction entries")
+        if any(type(j) is not int or not 0 <= j < cols for j in row):
+            raise ValueError(f"sparse row column out of range({cols})")
+        row = _cleared(row.items())
+        if row:
+            integral.append(row)
+    pivots = _echelon(integral)
     # Back substitution, last pivot first, so each row is cleared of the
     # later pivot columns using rows that are already fully reduced.
     order = sorted(pivots)
@@ -199,17 +226,29 @@ def rref(m: Matrix) -> tuple[int, Matrix]:
         for col in sorted(j for j in row if j != lead and j in pivots):
             row = _eliminate(row, pivots[col], col)
         pivots[lead] = row
-    zero = Fraction(0)
     reduced = []
     for lead in order:
         row = pivots[lead]
         scale = row[lead]
-        dense = [zero] * m.cols
-        for j, v in row.items():
-            dense[j] = Fraction(v, scale)
-        reduced.append(tuple(dense))
-    reduced += [tuple([zero] * m.cols)] * (m.rows - len(order))
-    return len(order), Matrix(m.rows, m.cols, tuple(reduced))
+        reduced.append({j: Fraction(v, scale) for j, v in sorted(row.items())})
+    return reduced
+
+
+def rref(m: Matrix) -> tuple[int, Matrix]:
+    """Reduced row-echelon form: returns (rank, reduced).
+
+    The reduced form is the unique RREF of the row space, with pivots scaled
+    to 1, zero rows trailing and `Fraction` entries; a matrix with no rows
+    reduces to the 0 x 0 matrix.  The elimination is `sparse_rref` on the
+    rows of m.
+    """
+    if m.rows == 0:
+        return 0, Matrix(0, 0, ())
+    sparse = [{j: x for j, x in enumerate(entries) if x} for entries in m.entries]
+    reduced = [dense_row(row, m.cols) for row in sparse_rref(sparse, m.cols)]
+    rk = len(reduced)
+    reduced += [tuple([Fraction(0)] * m.cols)] * (m.rows - rk)
+    return rk, Matrix(m.rows, m.cols, tuple(reduced))
 
 
 def rank(m: Matrix) -> int:
@@ -261,20 +300,33 @@ def row_space_basis(m: Matrix) -> list[Vector]:
     return [red.row(i) for i in range(rk)]
 
 
+def sparse_reduce(reduced: list[dict[int, Fraction]], v: dict[int, int | Fraction]) -> dict[int, Fraction]:
+    """Normal form of a sparse row v modulo sparse RREF rows as returned by
+    `sparse_rref`: v minus the combination of those rows that clears every
+    pivot column, as a {column: Fraction} dict of its nonzero entries.  RREF
+    rows vanish on each other's pivots, so each pivot is cleared once."""
+    out = {j: Fraction(x) for j, x in v.items() if x}
+    for row in reduced:
+        f = out.get(next(iter(row)))
+        if f:
+            for j, x in row.items():
+                w = out.get(j, 0) - f * x
+                if w:
+                    out[j] = w
+                else:
+                    del out[j]
+    return out
+
+
 def reduce_modulo(reduced: Matrix, rk: int, v: Sequence) -> Vector:
     """Normal form of v modulo the row space of `reduced`, an RREF of rank rk
     as returned by `rref`: v minus the combination of its rows that clears
     every pivot coordinate.  v lies in that row space iff the result is zero."""
-    out = list(vector(v))
-    if rk and len(out) != reduced.cols:
+    v = vector(v)
+    if rk and len(v) != reduced.cols:
         raise ValueError("length mismatch")
-    for r, p in enumerate(pivot_columns(reduced, rk)):
-        f = out[p]
-        if f:
-            for j, x in enumerate(reduced.row(r)):
-                if x:
-                    out[j] -= f * x
-    return tuple(out)
+    rows = [{j: x for j, x in enumerate(reduced.row(r)) if x} for r in range(rk)]
+    return dense_row(sparse_reduce(rows, dict(enumerate(v))), len(v))
 
 
 def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:

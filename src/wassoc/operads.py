@@ -5,7 +5,8 @@ Catalan(n-1) * n! (12 at arity 3, 120 at arity 4); its vectors are
 `MultilinearIdentity` values.  This module computes relation spans and their
 operadic consequences, the quadratic-duality pairing with annihilators, the
 dual dimensions in the associative word space, and generating-function
-arithmetic.
+arithmetic.  Relation spans are reduced from the identities' sparse rows by
+`linalg.sparse_rref`; `RelationSpace.basis` holds the dense RREF rows.
 """
 
 from __future__ import annotations
@@ -20,15 +21,24 @@ from .identities import (
     apply_perm,
     associator,
     monomial,
-    shapes,
+    monomial_order,
     wa_expression,
 )
-from .linalg import Matrix, Vector, in_span, kernel_basis, rank, row_space_basis
+from .linalg import (
+    Matrix,
+    Vector,
+    dense_row,
+    in_span,
+    kernel_basis,
+    rank,
+    row_space_basis,
+    sparse_rref,
+)
 from .symgroup import Perm, all_perms, sigma_basis
 
 
 def free_dim(arity: int) -> int:
-    return len(shapes(arity)) * len(sigma_basis(arity))
+    return len(monomial_order(arity))
 
 
 @dataclass
@@ -52,10 +62,12 @@ class RelationSpace:
 
 
 def span_of(vectors: list[MultilinearIdentity], arity: int) -> RelationSpace:
-    coords = [v.coordinates() for v in vectors]
-    if not coords:
-        return RelationSpace(arity, [])
-    return RelationSpace(arity, row_space_basis(Matrix.from_rows(coords)))
+    """Span of arity-n identities, reduced from their sparse rows."""
+    if any(v.arity != arity for v in vectors):
+        raise ValueError("arity mismatch")
+    n = free_dim(arity)
+    reduced = sparse_rref([v.sparse_row() for v in vectors], n)
+    return RelationSpace(arity, [dense_row(row, n) for row in reduced])
 
 
 def relation_closure(generator: MultilinearIdentity) -> RelationSpace:
@@ -76,11 +88,7 @@ def associativity_relation_space() -> RelationSpace:
 
 
 def full_free_space(arity: int = 3) -> RelationSpace:
-    out = []
-    for shape in shapes(arity):
-        for p in sigma_basis(arity):
-            out.append(monomial(shape, p.images))
-    return span_of(out, arity)
+    return span_of([monomial(*key) for key in monomial_order(arity)], arity)
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +136,9 @@ def consequences(r: RelationSpace) -> RelationSpace:
     under relabeling of the four slots."""
     if r.arity != 3:
         raise ValueError("expected an arity-3 relation space")
+    order = monomial_order(3)
     gens3 = [
-        MultilinearIdentity(
-            3,
-            {
-                key: q
-                for key, q in zip(
-                    MultilinearIdentity(3, {}).monomial_basis(), vec
-                )
-                if q != 0
-            },
-        )
+        MultilinearIdentity(3, {key: q for key, q in zip(order, vec) if q})
         for vec in r.basis
     ]
     raw: list[MultilinearIdentity] = []
@@ -179,9 +179,7 @@ def dual_pairing(u: MultilinearIdentity, w: MultilinearIdentity) -> Fraction:
 
 
 def pairing_gram_matrix() -> Matrix:
-    basis = [
-        monomial(shape, p.images) for shape in shapes(3) for p in sigma_basis(3)
-    ]
+    basis = [monomial(*key) for key in monomial_order(3)]
     return Matrix.from_rows(
         [[dual_pairing(u, w) for w in basis] for u in basis]
     )

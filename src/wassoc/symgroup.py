@@ -53,9 +53,6 @@ class Perm:
                     s = -s
         return s
 
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.n))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its smallest element."""
         seen = set()
@@ -95,8 +92,17 @@ def compose(a: Perm, b: Perm) -> Perm:
     return Perm(a.n, tuple(a(b(i)) for i in range(1, a.n + 1)))
 
 
-def all_perms(n: int) -> list[Perm]:
-    return [Perm(n, imgs) for imgs in itertools.permutations(range(1, n + 1))]
+_ALL_PERMS: dict[int, tuple[Perm, ...]] = {}
+
+
+def all_perms(n: int) -> tuple[Perm, ...]:
+    """Every permutation of degree n in lex order of images, built once per
+    degree and shared."""
+    perms = _ALL_PERMS.get(n)
+    if perms is None:
+        perms = tuple(Perm(n, imgs) for imgs in itertools.permutations(range(1, n + 1)))
+        _ALL_PERMS[n] = perms
+    return perms
 
 
 # Canonical degree-3 basis order: Id, (12), (13), (23), c, c2.
@@ -115,7 +121,7 @@ def sigma_basis(n: int) -> tuple[Perm, ...]:
     """Coordinate order of K[S_n]: the fixed table for n = 3, lex otherwise."""
     if n == 3:
         return SIGMA3
-    return tuple(all_perms(n))
+    return all_perms(n)
 
 
 def format_perm(p: Perm) -> str:
@@ -202,10 +208,6 @@ class GroupAlgebraElement:
     def to_vector(self) -> tuple[Fraction, ...]:
         basis = sigma_basis(self.n)
         return tuple(self.coeffs.get(p, Fraction(0)) for p in basis)
-
-    def support(self) -> list[Perm]:
-        basis = sigma_basis(self.n)
-        return [p for p in basis if p in self.coeffs]
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from test_linalg import reference_rref
 
+from wassoc import cohomology, linalg
 from wassoc.cohomology import (
     CochainContext,
     NotMultiderivation,
@@ -38,7 +40,7 @@ from wassoc.corpus import (
 )
 from wassoc.finalg import FinAlg, MultiMap, evaluate, product_map
 from wassoc.identities import associator
-from wassoc.linalg import Matrix, in_span
+from wassoc.linalg import Matrix, in_span, kernel_basis, pivot_columns, vector
 
 
 def test_hochschild_square_zero_on_associative(rng):
@@ -336,6 +338,54 @@ def test_delta3_system_shape(delta3_system):
     assert delta3_system.assembled_rows == 360
     assert len(delta3_system.unknowns) == 120
     assert len(delta3_system.monomials) == 360
+
+
+def reference_delta3_reduction() -> tuple[int, Matrix]:
+    """The dense reduction that `build_delta3_system` replaced, on the dense
+    reference elimination: the 120 ansatz columns and the consequence rows
+    as `Fraction` matrices, each column reduced modulo the RREF of the
+    consequences, and the rows at non-pivot coordinates kept.  Returns the
+    consequence rank and the reduced matrix."""
+    basis = cohomology._free_basis4()
+    index = {mono: i for i, mono in enumerate(basis)}
+    nrows = len(basis)
+    cols = []
+    for fam, images in delta3_unknowns():
+        col = [0] * nrows
+        for tree, labels, c in cohomology._column_monomials(fam, images):
+            col[index[(tree, labels)]] += c
+        cols.append(col)
+    inner, outer = cohomology._consequence_generators()
+    conseq = []
+    for gen in inner + outer:
+        row = [0] * nrows
+        for key, c in gen.items():
+            row[index[key]] += c
+        conseq.append(row)
+    rk, red = reference_rref(Matrix.from_rows(conseq))
+    pivots = pivot_columns(red, rk)
+    normals = []
+    for col in cols:
+        out = list(vector(col))
+        for r, p in enumerate(pivots):
+            f = out[p]
+            if f:
+                out = [x - f * y for x, y in zip(out, red.row(r))]
+        normals.append(out)
+    free = [i for i in range(nrows) if i not in set(pivots)]
+    return rk, Matrix.from_rows([[n[i] for n in normals] for i in free])
+
+
+def test_delta3_system_matches_dense_reference(delta3_system, monkeypatch):
+    rk, reduced = reference_delta3_reduction()
+    assert delta3_system.consequence_dim == rk
+    assert (reduced.rows, reduced.cols) == (360 - rk, 120)
+    assert delta3_system.reduced_matrix == reduced
+    assert all(type(x) is Fraction for row in delta3_system.reduced_matrix.entries for x in row)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "rref", reference_rref)
+        kernel = kernel_basis(reduced)
+    assert delta3_system.kernel == kernel and len(kernel) == 48
 
 
 def test_delta3_kernel_reported(delta3_system):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from wassoc.corpus import random_group_element, two_dim_family
@@ -12,10 +14,14 @@ from wassoc.identities import (
     flexibility_expression,
     leibniz_expression,
     lie_admissible_expression,
+    monomial,
+    monomial_order,
     shape_str,
     shapes,
     wa_expression,
+    zero_identity,
 )
+from wassoc.linalg import dense_row
 from wassoc.symgroup import (
     C3,
     ID3,
@@ -24,6 +30,7 @@ from wassoc.symgroup import (
     act,
     all_perms,
     ga,
+    sigma_basis,
     wa_vector,
 )
 
@@ -137,3 +144,55 @@ def test_wa_and_lie_admissible_cross_relation():
     assert lie_admissible_expression() == apply_group_vector(
         associator(), lie_admissible_vector()
     )
+
+
+def identities_under_test(rng) -> list[MultilinearIdentity]:
+    """Every identity this module builds, its relabelings, seeded
+    group-vector images with rational coefficients, the zero identity and
+    arity-4 monomials and sums."""
+    image = apply_group_vector(associator(), ga(3, (2, ID3), (-1, T13)))
+    named = [
+        associator(),
+        wa_expression(),
+        flexibility_expression(),
+        leibniz_expression(),
+        lie_admissible_expression(),
+        monomial(LEFT_COMB3, (2, 1, 3), Fraction(-3, 7)),
+        image,
+    ]
+    out = [zero_identity(3), zero_identity(4), image - image]
+    for e in named:
+        out += [apply_perm(e, s) for s in all_perms(3)]
+        out.append(apply_group_vector(e, random_group_element(3, rng, 3)).scale(Fraction(5, 3)))
+    arity4 = [
+        monomial(shape, p.images, rng.randint(-4, 4))
+        for shape in shapes(4)
+        for p in all_perms(4)[::5]
+    ]
+    out += arity4
+    out.append(sum(arity4[1:], arity4[0]))
+    out.append(apply_perm(arity4[3] - arity4[7], all_perms(4)[9]))
+    return out
+
+
+def test_sparse_row_agrees_with_coordinates(rng):
+    for e in identities_under_test(rng):
+        coords = e.coordinates()
+        row = e.sparse_row()
+        assert len(coords) == len(monomial_order(e.arity)) == len(e.monomial_basis())
+        assert all(row.values()) and len(row) == e.term_count()
+        assert dense_row(row, len(coords)) == coords
+        assert {monomial_order(e.arity)[j]: q for j, q in row.items()} == e.coeffs
+
+
+def test_monomial_order_is_shared_and_canonical():
+    assert monomial_order(4) is monomial_order(4)
+    assert len(monomial_order(3)) == 12 and len(monomial_order(4)) == 120
+    assert monomial_order(3) == tuple(
+        (shape, p.images) for shape in shapes(3) for p in sigma_basis(3)
+    )
+    assert monomial_order(3)[:2] == ((LEFT_COMB3, (1, 2, 3)), (LEFT_COMB3, (2, 1, 3)))
+    assert monomial_order(3)[6] == (RIGHT_COMB3, (1, 2, 3))
+    basis = associator().monomial_basis()
+    basis.clear()
+    assert associator().monomial_basis() == list(monomial_order(3))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wassoc import cohomology, linalg
+from wassoc import cohomology, linalg, operads
 from wassoc.cohomology import build_delta3_system
 from wassoc.homology import ChainComplex
 from wassoc.linalg import (
@@ -17,6 +17,8 @@ from wassoc.linalg import (
     rref,
     same_span,
     sparse_rank,
+    sparse_reduce,
+    sparse_rref,
     vector,
 )
 from wassoc.operads import consequences, wa_relation_space
@@ -67,17 +69,23 @@ def assert_agrees_with_reference(m: Matrix, monkeypatch):
         assert kernel_basis(m) == kernel
 
 
+def densify(rows, cols: int) -> Matrix:
+    return Matrix.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows])
+
+
 def rref_inputs(monkeypatch, build) -> list[Matrix]:
-    """Every matrix `build()` hands to `rref`, in call order."""
+    """Every set of rows `build()` hands to `sparse_rref`, the elimination
+    behind `rref`, as a dense matrix, in call order."""
     seen = []
 
-    def recording(m):
-        seen.append(m)
-        return rref(m)
+    def recording(rows, cols):
+        rows = list(rows)
+        seen.append(densify(rows, cols))
+        return sparse_rref(rows, cols)
 
     with monkeypatch.context() as patched:
-        patched.setattr(linalg, "rref", recording)
-        patched.setattr(cohomology, "rref", recording)
+        for module in (linalg, operads, cohomology):
+            patched.setattr(module, "sparse_rref", recording)
         build()
     return seen
 
@@ -344,6 +352,57 @@ def test_in_span_takes_one_rref_and_checks_lengths(monkeypatch):
     assert answers == [True] and m == Matrix.from_rows(basis)
     with pytest.raises(ValueError):
         in_span([1, 0], [[1, 0, 0]])
+
+
+def test_sparse_rref_matches_reference_on_sparse_rationals(rng):
+    for _ in range(40):
+        cols = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, 9)):
+            row = {}
+            for j in range(cols):
+                r = rng.random()
+                if r < 0.2:
+                    row[j] = 0  # explicit zeros are allowed
+                elif r < 0.5:
+                    row[j] = rng.randint(-10**6, 10**6)
+                elif r < 0.7:
+                    row[j] = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**12))
+            rows.append(row)
+        if rows:
+            rows.append(dict(rows[rng.randrange(len(rows))]))
+        reduced = sparse_rref(rows, cols)
+        expected_rank, expected = reference_rref(densify(rows, cols)) if rows else (0, None)
+        assert len(reduced) == expected_rank
+        for i, row in enumerate(reduced):
+            assert all(type(x) is Fraction and x for x in row.values())
+            assert list(row) == sorted(row) and row[min(row)] == 1
+            assert linalg.dense_row(row, cols) == expected.row(i)
+
+
+def test_sparse_rref_rejects_bad_rows():
+    assert sparse_rref([], 3) == [] and sparse_rref([{}, {1: 0}], 3) == []
+    for bad in ({0: 1.5}, {0: True}, {0: "1"}):
+        with pytest.raises(TypeError):
+            sparse_rref([bad], 2)
+    for bad in ({2: 1}, {-1: 1}, {True: 1}, {"0": 1}):
+        with pytest.raises(ValueError):
+            sparse_rref([bad], 2)
+
+
+def test_sparse_reduce_matches_dense_normal_form(rng):
+    for _ in range(20):
+        basis = [vector([rng.randint(-3, 3) for _ in range(6)]) for _ in range(3)]
+        v = vector([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)])
+        rk, red = rref(Matrix.from_rows(basis))
+        normal = list(v)
+        for r, p in enumerate(pivot_columns(red, rk)):
+            f = normal[p]
+            normal = [x - f * y for x, y in zip(normal, red.row(r))]
+        pivots = sparse_rref([dict(enumerate(b)) for b in basis], 6)
+        sparse = sparse_reduce(pivots, dict(enumerate(v)))
+        assert all(sparse.values())
+        assert linalg.dense_row(sparse, 6) == tuple(normal) == reduce_modulo(red, rk, v)
 
 
 def test_booleans_are_not_rationals():

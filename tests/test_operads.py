@@ -1,15 +1,22 @@
 from fractions import Fraction
 
+import pytest
+
+from wassoc import operads
 from wassoc.identities import (
     LEFT_COMB3,
     RIGHT_COMB3,
     apply_perm,
     associator,
+    flexibility_expression,
+    leibniz_expression,
+    lie_admissible_expression,
     monomial,
     wa_expression,
 )
 from wassoc.linalg import Matrix, in_span, kernel_basis, rank, row_space_basis
 from wassoc.operads import (
+    RelationSpace,
     annihilator,
     associativity_relation_space,
     consequences,
@@ -22,12 +29,67 @@ from wassoc.operads import (
     r3_syzygies,
     r3_terms,
     reduced_placement_matrix,
+    relation_closure,
+    span_of,
     wa_relation_space,
     wass_dual_arity4,
     wass_dual_arity4_dim,
     word_vector_from_group,
 )
-from wassoc.symgroup import all_perms, dual3_relation_vector, dual4_word_vectors
+from wassoc.symgroup import all_perms, dual3_relation_vector, dual4_word_vectors, sigma_basis
+
+
+def reference_span_of(vectors, arity: int) -> RelationSpace:
+    """The dense route that `span_of` replaced: dense `Fraction`
+    coordinates, one `Matrix`, then its RREF rows."""
+    coords = [v.coordinates() for v in vectors]
+    if not coords:
+        return RelationSpace(arity, [])
+    return RelationSpace(arity, row_space_basis(Matrix.from_rows(coords)))
+
+
+EXPRESSIONS = [
+    wa_expression,
+    associator,
+    flexibility_expression,
+    lie_admissible_expression,
+    leibniz_expression,
+]
+
+
+@pytest.mark.parametrize("expression", EXPRESSIONS, ids=lambda f: f.__name__)
+def test_relation_closure_matches_dense_reference(expression):
+    relabeled = [apply_perm(expression(), p) for p in sigma_basis(3)]
+    expected = reference_span_of(relabeled, 3)
+    assert expected.dim > 0
+    assert relation_closure(expression()) == expected
+    assert span_of(relabeled, 3) == expected
+
+
+@pytest.mark.parametrize(
+    "space, dim",
+    [(wa_relation_space, 72), (associativity_relation_space, 96)],
+    ids=["wa", "associativity"],
+)
+def test_consequences_match_dense_reference(space, dim, monkeypatch):
+    r = space()
+    with monkeypatch.context() as patched:
+        patched.setattr(operads, "span_of", reference_span_of)
+        expected = consequences(r)
+    cons = consequences(r)
+    assert cons.dim == expected.dim == dim
+    assert cons == expected
+    assert all(type(x) is Fraction for row in cons.basis for x in row)
+
+
+def test_span_of_edge_cases():
+    assert span_of([], 4) == RelationSpace(4, [])
+    assert span_of([associator(), associator().scale(-2)], 3) == reference_span_of(
+        [associator()], 3
+    )
+    with pytest.raises(ValueError):
+        span_of([associator()], 4)
+    assert full_free_space(4).dim == 120
 
 
 def test_free_dims():

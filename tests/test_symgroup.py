@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from wassoc.symgroup import (
     orbit_span_dim,
     parse_perm,
     relations_equivalent,
+    sigma_basis,
     wa_vector,
 )
 
@@ -62,6 +64,19 @@ def test_compose_examples():
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         compose(T12, identity_perm(4))
+
+
+def test_all_perms_built_once_and_immutable():
+    for n in (2, 3, 4):
+        perms = all_perms(n)
+        assert isinstance(perms, tuple) and all_perms(n) is perms
+        assert [p.images for p in perms] == list(itertools.permutations(range(1, n + 1)))
+    assert sigma_basis(4) is all_perms(4)
+    assert sigma_basis(3) == SIGMA3 and set(SIGMA3) == set(all_perms(3))
+    with pytest.raises(TypeError):
+        all_perms(3)[0] = ID3
+    with pytest.raises(ValueError):
+        all_perms(5)
 
 
 def test_perm_inverse_and_sign():
