@@ -7,7 +7,8 @@ Three families live here:
   Hochschild operator precomposed with the slot symmetrization Id + c - (12))
   together with the parametric degree-3 operator `wa_delta3`, whose admissible
   coefficient vectors form the kernel of the linear system assembled by
-  `build_delta3_system`;
+  `build_delta3_system` from `("m", "f")` trees: the formal product and
+  cochain symbol, enumerated and grafted by `identities`;
 * the Lichnerowicz operator on skew multiderivations of a (possibly
   nonassociative) Poisson pair.
 """
@@ -27,16 +28,27 @@ from .finalg import (
     linear_combination,
     product_map,
 )
-from .identities import LEAF
+from .identities import (
+    LEAF,
+    MultilinearIdentity,
+    apply_group_vector,
+    apply_perm,
+    consequence_generators,
+    graft,
+    monomial,
+    node_ops,
+    shapes,
+    wa_expression,
+)
 from .linalg import Matrix, Vector, kernel_basis, sparse_reduce, sparse_rref
 from .symgroup import (
     C3,
-    ID3,
     T12,
     Perm,
     all_perms,
     cochain3_vectors,
     cochain4_vectors,
+    wa_vector,
 )
 
 
@@ -264,94 +276,34 @@ def operadic_cochain4_check(phi4: MultiMap) -> bool:
 # associative algebra is a linear condition: the formal expansion, a vector
 # over the 360 degree-one monomials of the free two-operation space (product m
 # and formal symbol f), must lie in the span of the consequences of the
-# weak-associativity relation applied to the product.
+# weak-associativity relation under a new f node
+# (`identities.consequence_generators`).
 # ---------------------------------------------------------------------------
 
 FAMILIES = ("a", "b", "c", "d", "e")
 
-
-def _tree_leaves(tree) -> int:
-    if tree is LEAF:
-        return 1
-    return _tree_leaves(tree[1]) + _tree_leaves(tree[2])
-
-
-def _two_op_trees(n: int, f_count: int) -> list:
-    """Binary trees with n leaves, nodes tagged 'm' or 'f', exactly f_count
-    'f' nodes."""
-    if n == 1:
-        return [LEAF] if f_count == 0 else []
-    out = []
-    for left in range(n - 1, 0, -1):
-        for op in ("m", "f"):
-            need = f_count - (1 if op == "f" else 0)
-            if need < 0:
-                continue
-            for fl in range(need + 1):
-                for lt in _two_op_trees(left, fl):
-                    for rt in _two_op_trees(n - left, need - fl):
-                        out.append((op, lt, rt))
-    return out
+# The formal product m(x1, x2) and cochain symbol f(x1, x2).
+_M = monomial(("m", LEAF, LEAF), (1, 2))
+_F = monomial(("f", LEAF, LEAF), (1, 2))
 
 
 def _free_basis4() -> list:
-    """The 360 monomials: 15 one-f four-leaf tagged shapes x 24 labelings."""
-    basis = []
-    for tree in _two_op_trees(4, 1):
-        for p in all_perms(4):
-            basis.append((tree, p.images))
-    return basis
-
-
-def _subst_leaf(tree, labels, var, replacement_tree, replacement_labels, mapping):
-    """Replace the leaf labeled `var` by a subtree; remaining labels pass
-    through `mapping`.  Returns (tree, labels)."""
-    out_labels = []
-
-    def rec(t, it):
-        if t is LEAF:
-            l = next(it)
-            if l == var:
-                out_labels.extend(replacement_labels)
-                return replacement_tree
-            out_labels.append(mapping[l])
-            return LEAF
-        return (t[0], rec(t[1], it), rec(t[2], it))
-
-    new_tree = rec(tree, iter(labels))
-    return new_tree, tuple(out_labels)
-
-
-def _delta2_formal() -> list[tuple]:
-    """The twelve monomials of the degree-2 coboundary of a formal bilinear
-    symbol f over a formal product m, arity 3: list of (tree, labels, coeff)."""
-    base = [
-        (("m", LEAF, ("f", LEAF, LEAF)), (1, 2, 3), 1),
-        (("f", ("m", LEAF, LEAF), LEAF), (1, 2, 3), -1),
-        (("f", LEAF, ("m", LEAF, LEAF)), (1, 2, 3), 1),
-        (("m", ("f", LEAF, LEAF), LEAF), (1, 2, 3), -1),
-    ]
-    out = []
-    for sigma, s in ((ID3, 1), (C3, 1), (T12, -1)):
-        for tree, labels, c in base:
-            out.append((tree, tuple(sigma(l) for l in labels), c * s))
-    return out
-
-
-def _wa_relation_monomials() -> list[tuple]:
-    """Six pure-product monomials of the weak-associativity expression."""
-    from .identities import wa_expression
-
+    """The 360 monomials: the 15 four-leaf trees with one "f" node and two
+    "m" nodes, times the 24 labelings."""
     return [
-        (_tag_m(shape), labels, q)
-        for (shape, labels), q in wa_expression().coeffs.items()
+        (tree, p.images)
+        for tree in shapes(4, ("m", "f"))
+        if node_ops(tree).count("f") == 1
+        for p in all_perms(4)
     ]
 
 
-def _tag_m(shape):
-    if shape is LEAF:
-        return LEAF
-    return ("m", _tag_m(shape[0]), _tag_m(shape[1]))
+def _delta2_formal() -> MultilinearIdentity:
+    """The degree-2 coboundary of a formal bilinear symbol f over a formal
+    product m: the Hochschild terms x1 f(x2,x3) - f(x1x2,x3) + f(x1,x2x3)
+    - f(x1,x2) x3 symmetrized by Id + c - (12)."""
+    hochschild = graft(_M, 2, _F) - graft(_F, 1, _M) + graft(_F, 2, _M) - graft(_M, 1, _F)
+    return apply_group_vector(hochschild, wa_vector())
 
 
 def delta3_unknowns() -> list[tuple[str, tuple[int, ...]]]:
@@ -370,75 +322,19 @@ def unknown_label(fam: str, images: tuple[int, ...]) -> str:
     return f"e: f(x{images[0]}, x{images[1]}, x{images[2]}x{images[3]})"
 
 
-def _column_monomials(fam: str, pi: tuple[int, ...]) -> list[tuple]:
-    """Expansion of one ansatz basis operation applied to the formal
-    degree-2 coboundary: a list of 4-leaf one-f monomials with coefficients."""
-    t_terms = _delta2_formal()
-    out = []
-    if fam == "a":
-        for tree, labels, c in t_terms:
-            out.append((("m", LEAF, tree), (pi[0],) + tuple(pi[l] for l in labels), c))
-    elif fam == "b":
-        for tree, labels, c in t_terms:
-            out.append((("m", tree, LEAF), tuple(pi[l - 1] for l in labels) + (pi[3],), c))
-    else:
-        var = {"c": 1, "d": 2, "e": 3}[fam]
-        pairs = {"c": (pi[0], pi[1]), "d": (pi[1], pi[2]), "e": (pi[2], pi[3])}[fam]
-        mapping = {
-            "c": {2: pi[2], 3: pi[3]},
-            "d": {1: pi[0], 3: pi[3]},
-            "e": {1: pi[0], 2: pi[1]},
-        }[fam]
-        for tree, labels, c in t_terms:
-            nt, nl = _subst_leaf(tree, labels, var, ("m", LEAF, LEAF), pairs, mapping)
-            out.append((nt, nl, c))
-    return out
-
-
-def _consequence_generators() -> tuple[list[dict], list[dict]]:
-    """Spanning sets of the two consequence families, as monomial dicts.
-
-    Inner family: the weak-associativity relation with a formal pair
-    substituted into one slot.  Outer family: the relation inside one slot of
-    the formal symbol.  Both are closed under relabeling by S4.
-    """
-    wa_terms = _wa_relation_monomials()
-    inner = []
-    for slot in (1, 2, 3):
-        others = [v for v in (1, 2, 3) if v != slot]
-        # Canonical pre-relabel instance: pair carries labels (slot, 4),
-        # other variables keep their labels.
-        base: dict = {}
-        for tree, labels, c in wa_terms:
-            nt, nl = _subst_leaf(
-                tree, labels, slot, ("f", LEAF, LEAF), (slot, 4), {v: v for v in others}
-            )
-            key = (nt, nl)
-            base[key] = base.get(key, 0) + c
-        inner.append(base)
-    outer = []
-    for side in ("left", "right"):
-        base = {}
-        for tree, labels, c in wa_terms:
-            if side == "left":
-                key = (("f", tree, LEAF), tuple(labels) + (4,))
-            else:
-                key = (("f", LEAF, tree), (4,) + tuple(labels))
-            base[key] = base.get(key, 0) + c
-        outer.append(base)
-
-    def closure(bases):
-        out = []
-        for base in bases:
-            for p in all_perms(4):
-                relab = {}
-                for (tree, labels), c in base.items():
-                    key = (tree, tuple(p(l) for l in labels))
-                    relab[key] = relab.get(key, 0) + c
-                out.append(relab)
-        return out
-
-    return closure(inner), closure(outer)
+def _ansatz_columns() -> list[MultilinearIdentity]:
+    """Each ansatz term applied to the formal degree-2 coboundary T, in the
+    order of `delta3_unknowns()`: the family's graft (a: x1 T(x2,x3,x4),
+    b: T(x1,x2,x3) x4, c/d/e: a product in slot 1/2/3 of T) relabeled by pi."""
+    t = _delta2_formal()
+    family = {
+        "a": graft(_M, 2, t),
+        "b": graft(_M, 1, t),
+        "c": graft(t, 1, _M),
+        "d": graft(t, 2, _M),
+        "e": graft(t, 3, _M),
+    }
+    return [apply_perm(family[fam], p) for fam in FAMILIES for p in all_perms(4)]
 
 
 @dataclass
@@ -469,17 +365,12 @@ def build_delta3_system() -> Delta3System:
     nrows = len(basis)
     unknowns = delta3_unknowns()
 
-    cols = []
-    for fam, images in unknowns:
-        col: dict[int, int] = {}
-        for tree, labels, c in _column_monomials(fam, images):
-            i = index[(tree, labels)]
-            col[i] = col.get(i, 0) + c
-        cols.append(col)
+    def sparse(e: MultilinearIdentity) -> dict[int, Fraction]:
+        return {index[key]: q for key, q in e.coeffs.items()}
 
-    inner, outer = _consequence_generators()
+    cols = [sparse(e) for e in _ansatz_columns()]
     pivots = sparse_rref(
-        ({index[key]: c for key, c in gen.items()} for gen in inner + outer), nrows
+        (sparse(e) for e in consequence_generators(wa_expression(), "f")), nrows
     )
     # Normal form of each column modulo the consequence span, restricted to
     # the coordinates that are not pivots of that span.

@@ -369,8 +369,6 @@ def endo_to_map(alg_dim: int, m: Matrix) -> MultiMap:
 def evaluate(alg: FinAlg, e: MultilinearIdentity) -> MultiMap:
     """Substitute the algebra product at each internal node; the result is the
     zero tensor iff the algebra satisfies the identity."""
-    if e.arity > 5:
-        raise ValueError("arity > 5 not supported")
     n = alg.dim
     mu = product_map(alg)
     trees: dict = {LEAF: MultiMap(1, n, {(i,): {i: 1} for i in range(n)})}
@@ -378,7 +376,9 @@ def evaluate(alg: FinAlg, e: MultilinearIdentity) -> MultiMap:
     def tree(shape) -> MultiMap:
         """The shape's tree of products, inputs in leaf order."""
         if shape not in trees:
-            left, right = shape
+            op, left, right = shape
+            if op != "m":
+                raise ValueError(f"cannot evaluate the formal operation {op!r}")
             m = mu if right is LEAF else compose(mu, 1, tree(right))
             trees[shape] = m if left is LEAF else compose(m, 0, tree(left))
         return trees[shape]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .finalg import FinAlg
+from .identities import LEAF, shapes
 
 
 @total_ordering
@@ -175,17 +176,14 @@ def as_truncated_algebra(basis: GradedBasis, max_degree: int | None = None) -> F
 
 def enumerate_unordered_trees(n: int) -> set:
     """Brute-force set of unordered binary trees with n leaves (independent
-    counting oracle for the dimension recursion).  Trees are canonical
-    strings: children sorted lexicographically inside each node."""
-    if n < 1:
-        raise ValueError("need at least one leaf")
-    table: list[set] = [set(), {"*"}]
-    for d in range(2, n + 1):
-        out = set()
-        for p in range(1, d // 2 + 1):
-            for a in table[p]:
-                for b in table[d - p]:
-                    x, y = (a, b) if a <= b else (b, a)
-                    out.add("(" + x + y + ")")
-        table.append(out)
-    return table[n]
+    counting oracle for the dimension recursion): the ordered trees of
+    `identities.shapes` as canonical strings, children sorted
+    lexicographically inside each node."""
+
+    def canonical(tree) -> str:
+        if tree is LEAF:
+            return "*"
+        x, y = sorted((canonical(tree[1]), canonical(tree[2])))
+        return "(" + x + y + ")"
+
+    return {canonical(tree) for tree in shapes(n)}

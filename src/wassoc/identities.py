@@ -1,11 +1,19 @@
-"""Multilinear identities of one binary operation.
+"""Binary trees and the multilinear identities built from them.
 
-An identity of arity n is a rational vector over pairs (tree shape, labeling):
-the shape is a full binary tree with n leaves, the labeling assigns the
-variable indices 1..n to the leaves left to right.  The associator, the
-weak-associativity expression, flexibility, Lie admissibility and the Leibniz
-expression all live here, and the symmetric-group algebra acts by relabeling.
-The coordinate order of each arity (`monomial_order`) and its index are
+A tree is `LEAF` or a triple (op, left, right) of an operation tag and two
+subtrees.  The product is "m"; the degree-3 coboundary ansatz also uses a
+formal cochain symbol "f".  This module owns the tree format: `shapes`
+enumerates trees, `leaf_count`, `node_ops` and `shape_str` read them,
+`graft` (partial composition) substitutes one tree into a leaf of another,
+and `consequence_generators` builds the consequences of a relation one
+arity up from grafts and relabelings.
+
+An identity of arity n is a rational vector over pairs (tree, labeling):
+the labeling assigns the variable indices 1..n to the leaves left to right.
+The associator, the weak-associativity expression, flexibility, Lie
+admissibility and the Leibniz expression all live here, and the
+symmetric-group algebra acts by relabeling.  The coordinate order of the
+one-operation monomials of each arity (`monomial_order`) and its index are
 built once; an identity is ranked as its sparse row (`sparse_row`,
 {column: coefficient}) through `linalg.sparse_rref`, and `coordinates` gives
 the dense vector.
@@ -19,32 +27,31 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .linalg import as_rational
-from .symgroup import GroupAlgebraElement, Perm, sigma_basis
+from .symgroup import GroupAlgebraElement, Perm, all_perms, sigma_basis
 
-# A shape is None for a leaf or a pair (left, right) of shapes.
 LEAF = None
 Shape = object
 
-LEFT_COMB3 = ((LEAF, LEAF), LEAF)
-RIGHT_COMB3 = (LEAF, (LEAF, LEAF))
+LEFT_COMB3 = ("m", ("m", LEAF, LEAF), LEAF)
+RIGHT_COMB3 = ("m", LEAF, ("m", LEAF, LEAF))
 
 
 @lru_cache(maxsize=None)
-def shapes(n: int) -> tuple:
-    """All full binary tree shapes with n leaves, larger left subtree first
-    (so the left comb is always shapes(n)[0])."""
+def shapes(n: int, ops: tuple[str, ...] = ("m",)) -> tuple:
+    """All binary trees with n leaves whose nodes are tagged by `ops`: larger
+    left subtree first, then by operation in the order of `ops` (so the left
+    comb is always shapes(n)[0])."""
     if n < 1:
         raise ValueError("need at least one leaf")
-    if n > 5:
-        raise ValueError("arity > 5 not supported")
     if n == 1:
         return (LEAF,)
-    out = []
-    for left_leaves in range(n - 1, 0, -1):
-        for l in shapes(left_leaves):
-            for r in shapes(n - left_leaves):
-                out.append((l, r))
-    return tuple(out)
+    return tuple(
+        (op, l, r)
+        for left_leaves in range(n - 1, 0, -1)
+        for op in ops
+        for l in shapes(left_leaves, ops)
+        for r in shapes(n - left_leaves, ops)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +73,14 @@ def _monomial_index(arity: int) -> Mapping[tuple, int]:
 def leaf_count(shape: Shape) -> int:
     if shape is LEAF:
         return 1
-    return leaf_count(shape[0]) + leaf_count(shape[1])
+    return leaf_count(shape[1]) + leaf_count(shape[2])
+
+
+def node_ops(shape: Shape) -> tuple[str, ...]:
+    """The operations of a tree's nodes in prefix order."""
+    if shape is LEAF:
+        return ()
+    return (shape[0],) + node_ops(shape[1]) + node_ops(shape[2])
 
 
 def shape_str(shape: Shape, labels: Iterable[int]) -> str:
@@ -75,14 +89,20 @@ def shape_str(shape: Shape, labels: Iterable[int]) -> str:
     def rec(s, top=False):
         if s is LEAF:
             return f"x{next(it)}"
-        inner = rec(s[0]) + rec(s[1])
+        if s[0] != "m":
+            return f"{s[0]}({rec(s[1], True)},{rec(s[2], True)})"
+        inner = rec(s[1]) + rec(s[2])
         return inner if top else "(" + inner + ")"
 
     return rec(shape, top=True)
 
 
 class MultilinearIdentity:
-    """Rational combination of (shape, labeling) monomials of one arity."""
+    """Rational combination of (tree, labeling) monomials of one arity.
+
+    `coordinates` and `sparse_row` cover the one-operation ("m") monomials
+    of `monomial_order`; trees with other operations take part in
+    arithmetic, relabeling, grafting and printing only."""
 
     __slots__ = ("arity", "coeffs")
 
@@ -152,10 +172,9 @@ class MultilinearIdentity:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
+        index = _monomial_index(self.arity)
         parts = []
-        for key in monomial_order(self.arity):
-            if key not in self.coeffs:
-                continue
+        for key in sorted(self.coeffs, key=lambda k: index.get(k, len(index))):
             q = self.coeffs[key]
             sign = "-" if q < 0 else "+"
             mag = abs(q)
@@ -200,6 +219,46 @@ def apply_group_vector(e: MultilinearIdentity, v: GroupAlgebraElement) -> Multil
     for p, q in v.coeffs.items():
         out = out + apply_perm(e, p).scale(q)
     return out
+
+
+def graft(outer: MultilinearIdentity, var: int, inner: MultilinearIdentity) -> MultilinearIdentity:
+    """Partial composition outer o_var inner (Loday-Vallette, *Algebraic
+    Operads*, ch. 5), bilinear in both: in each monomial of `outer` the leaf
+    labelled `var` is replaced by a monomial of `inner` whose labels are
+    shifted up by var - 1, and every other label l > var becomes
+    l + inner.arity - 1."""
+    if not 1 <= var <= outer.arity:
+        raise ValueError(f"no variable {var} in an arity-{outer.arity} identity")
+    shift = inner.arity - 1
+    acc: dict[tuple, Fraction] = {}
+    for (tree, labels), p in outer.coeffs.items():
+        for (sub, sub_labels), q in inner.coeffs.items():
+            out_labels: list[int] = []
+
+            def rec(t, it):
+                if t is LEAF:
+                    l = next(it)
+                    if l == var:
+                        out_labels.extend(s + var - 1 for s in sub_labels)
+                        return sub
+                    out_labels.append(l + shift if l > var else l)
+                    return LEAF
+                return (t[0], rec(t[1], it), rec(t[2], it))
+
+            key = (rec(tree, iter(labels)), tuple(out_labels))
+            acc[key] = acc.get(key, Fraction(0)) + p * q
+    return MultilinearIdentity(outer.arity + shift, acc)
+
+
+def consequence_generators(relation: MultilinearIdentity, op: str) -> list[MultilinearIdentity]:
+    """Spanning set of the consequences of `relation` one arity up under a
+    new binary node tagged `op`: the node grafted into each slot of the
+    relation and the relation grafted into either slot of the node, each
+    closed under relabeling of all slots."""
+    node = monomial((op, LEAF, LEAF), (1, 2))
+    raw = [graft(relation, var, node) for var in range(1, relation.arity + 1)]
+    raw += [graft(node, side, relation) for side in (1, 2)]
+    return [apply_perm(e, p) for e in raw for p in all_perms(relation.arity + 1)]
 
 
 def associator() -> MultilinearIdentity:

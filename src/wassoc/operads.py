@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .identities import (
-    LEAF,
+    LEFT_COMB3,
     MultilinearIdentity,
     apply_perm,
     associator,
+    consequence_generators,
     monomial,
     monomial_order,
     wa_expression,
@@ -95,45 +96,10 @@ def full_free_space(arity: int = 3) -> RelationSpace:
 # Operadic consequences at arity 4.
 # ---------------------------------------------------------------------------
 
-def _substitute_product(e: MultilinearIdentity, var: int) -> MultilinearIdentity:
-    """Replace variable `var` by a product of two fresh slots: the pair gets
-    labels (var, 4), other labels are kept.  Result has arity 4."""
-    acc: dict = {}
-    for (shape, labels), q in e.coeffs.items():
-        out_labels: list[int] = []
-
-        def rec(s, it):
-            if s is LEAF:
-                l = next(it)
-                if l == var:
-                    out_labels.extend((var, 4))
-                    return (LEAF, LEAF)
-                out_labels.append(l)
-                return LEAF
-            return (rec(s[0], it), rec(s[1], it))
-
-        new_shape = rec(shape, iter(labels))
-        key = (new_shape, tuple(out_labels))
-        acc[key] = acc.get(key, Fraction(0)) + q
-    return MultilinearIdentity(4, acc)
-
-
-def _multiply_slot(e: MultilinearIdentity, side: str) -> MultilinearIdentity:
-    """Multiply the whole arity-3 expression by a fresh fourth slot."""
-    acc: dict = {}
-    for (shape, labels), q in e.coeffs.items():
-        if side == "left":
-            key = ((LEAF, shape), (4,) + tuple(labels))
-        else:
-            key = ((shape, LEAF), tuple(labels) + (4,))
-        acc[key] = acc.get(key, Fraction(0)) + q
-    return MultilinearIdentity(4, acc)
-
-
 def consequences(r: RelationSpace) -> RelationSpace:
-    """Arity-4 span generated by an arity-3 relation space: substitution of a
-    product into each slot and outer multiplication on both sides, closed
-    under relabeling of the four slots."""
+    """Arity-4 span generated by an arity-3 relation space: a product grafted
+    into each slot and each relation grafted into either slot of a product,
+    closed under relabeling of the four slots."""
     if r.arity != 3:
         raise ValueError("expected an arity-3 relation space")
     order = monomial_order(3)
@@ -141,23 +107,12 @@ def consequences(r: RelationSpace) -> RelationSpace:
         MultilinearIdentity(3, {key: q for key, q in zip(order, vec) if q})
         for vec in r.basis
     ]
-    raw: list[MultilinearIdentity] = []
-    for g in gens3:
-        for var in (1, 2, 3):
-            raw.append(_substitute_product(g, var))
-        raw.append(_multiply_slot(g, "left"))
-        raw.append(_multiply_slot(g, "right"))
-    closed = [apply_perm(v, p) for v in raw for p in all_perms(4)]
-    return span_of(closed, 4)
+    return span_of([c for g in gens3 for c in consequence_generators(g, "m")], 4)
 
 
 # ---------------------------------------------------------------------------
 # Quadratic-duality pairing on the arity-3 free component.
 # ---------------------------------------------------------------------------
-
-LEFT3 = ((LEAF, LEAF), LEAF)
-RIGHT3 = (LEAF, (LEAF, LEAF))
-
 
 def dual_pairing(u: MultilinearIdentity, w: MultilinearIdentity) -> Fraction:
     """Diagonal pairing: equal left-comb monomials pair to the sign of their
@@ -171,7 +126,7 @@ def dual_pairing(u: MultilinearIdentity, w: MultilinearIdentity) -> Fraction:
         if q2 is None:
             continue
         sign = Perm(3, labels).sign()
-        if shape == LEFT3:
+        if shape == LEFT_COMB3:
             total += q * q2 * sign
         else:
             total -= q * q2 * sign

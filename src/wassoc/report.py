@@ -16,6 +16,7 @@ corresponding checks report ``fail`` with the computed values attached, and
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -386,7 +387,7 @@ def _homology_checks(rep: Report):
     )
 
 
-def _delta3_checks(rep: Report, rng: random.Random):
+def _delta3_checks(rep: Report, rng: random.Random, wa_members: list):
     sys = build_delta3_system()
     rep.add(
         "delta3.columns",
@@ -406,7 +407,7 @@ def _delta3_checks(rep: Report, rng: random.Random):
         "source)",
         sys.kernel_dim,
     )
-    members = corpus.wa_corpus()[:3]
+    members = wa_members[:3]
     ok = True
     for v in sys.kernel[:4]:
         for _, alg in members:
@@ -422,9 +423,9 @@ def _delta3_checks(rep: Report, rng: random.Random):
     )
 
 
-def _cohomology_checks(rep: Report, rng: random.Random):
+def _cohomology_checks(rep: Report, rng: random.Random, wa_members: list):
     ok01, ok12, okc3 = True, True, True
-    for _, alg in corpus.wa_corpus():
+    for _, alg in wa_members:
         ctx = CochainContext(alg)
         n = alg.dim
         if not all(
@@ -523,9 +524,9 @@ def _cohomology_checks(rep: Report, rng: random.Random):
     )
 
 
-def _polarization_checks(rep: Report):
+def _polarization_checks(rep: Report, wa_members: list):
     to_poisson = all(
-        is_nonassociative_poisson(*polarize(alg)) for _, alg in corpus.wa_corpus()
+        is_nonassociative_poisson(*polarize(alg)) for _, alg in wa_members
     )
     rep.add(
         "polarization.wa-to-poisson",
@@ -543,7 +544,7 @@ def _polarization_checks(rep: Report):
         from_poisson,
     )
     jordan_ok, seen = True, set()
-    for _, alg in corpus.wa_corpus():
+    for _, alg in wa_members:
         bullet, _ = polarize(alg)
         lhs = is_jordan(bullet)
         rhs = satisfies_jordan_identity(alg)
@@ -642,14 +643,17 @@ def _deform_checks(rep: Report, rng: random.Random):
 def build_report(seed: int = DEFAULT_SEED, only: str | None = None) -> Report:
     rng = random.Random(seed)
     rep = Report(omitted=list(OMITTED))
+    # Built on first use, so a run of one section that does not need it
+    # does not pay for it.
+    wa_members = functools.cache(corpus.wa_corpus)
     sections = {
         "orbit": lambda: _orbit_checks(rep),
         "operad": lambda: _operad_checks(rep),
         "freewa": lambda: _freewa_checks(rep),
         "homology": lambda: _homology_checks(rep),
-        "delta3": lambda: _delta3_checks(rep, rng),
-        "cohomology": lambda: _cohomology_checks(rep, rng),
-        "polarization": lambda: _polarization_checks(rep),
+        "delta3": lambda: _delta3_checks(rep, rng, wa_members()),
+        "cohomology": lambda: _cohomology_checks(rep, rng, wa_members()),
+        "polarization": lambda: _polarization_checks(rep, wa_members()),
         "deform": lambda: _deform_checks(rep, rng),
     }
     for name, fn in sections.items():

@@ -39,7 +39,7 @@ from wassoc.corpus import (
     two_dim_family,
 )
 from wassoc.finalg import FinAlg, MultiMap, evaluate, product_map
-from wassoc.identities import associator
+from wassoc.identities import associator, consequence_generators, wa_expression
 from wassoc.linalg import Matrix, in_span, kernel_basis, pivot_columns, vector
 
 
@@ -350,16 +350,15 @@ def reference_delta3_reduction() -> tuple[int, Matrix]:
     index = {mono: i for i, mono in enumerate(basis)}
     nrows = len(basis)
     cols = []
-    for fam, images in delta3_unknowns():
+    for expr in cohomology._ansatz_columns():
         col = [0] * nrows
-        for tree, labels, c in cohomology._column_monomials(fam, images):
-            col[index[(tree, labels)]] += c
+        for key, c in expr.coeffs.items():
+            col[index[key]] += c
         cols.append(col)
-    inner, outer = cohomology._consequence_generators()
     conseq = []
-    for gen in inner + outer:
+    for gen in consequence_generators(wa_expression(), "f"):
         row = [0] * nrows
-        for key, c in gen.items():
+        for key, c in gen.coeffs.items():
             row[index[key]] += c
         conseq.append(row)
     rk, red = reference_rref(Matrix.from_rows(conseq))

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from wassoc.corpus import random_group_element, two_dim_family
-from wassoc.finalg import FinAlg, evaluate
+from wassoc.corpus import random_group_element, truncated_polynomials, two_dim_family
+from wassoc.finalg import FinAlg, evaluate, is_associative
 from wassoc.identities import (
+    LEAF,
     LEFT_COMB3,
     RIGHT_COMB3,
     MultilinearIdentity,
@@ -12,10 +13,12 @@ from wassoc.identities import (
     apply_perm,
     associator,
     flexibility_expression,
+    graft,
     leibniz_expression,
     lie_admissible_expression,
     monomial,
     monomial_order,
+    node_ops,
     shape_str,
     shapes,
     wa_expression,
@@ -40,7 +43,67 @@ def test_shapes_counts_and_order():
     assert len(shapes(3)) == 2
     assert len(shapes(4)) == 5
     assert len(shapes(5)) == 14
+    assert len(shapes(6)) == 42  # Catalan(5): no arity cap
     assert shapes(3)[0] == LEFT_COMB3  # left comb first
+    assert shapes(3) == (("m", ("m", LEAF, LEAF), LEAF), ("m", LEAF, ("m", LEAF, LEAF)))
+
+
+@pytest.mark.parametrize("n, count", [(2, 1), (3, 4), (4, 15), (5, 56)])
+def test_one_f_trees_number_catalan_times_nodes(n, count):
+    """Catalan(n-1) shapes times n-1 choices of the one "f" node."""
+    tagged = shapes(n, ("m", "f"))
+    assert len(tagged) == len(shapes(n)) * 2 ** (n - 1)
+    assert len([t for t in tagged if node_ops(t).count("f") == 1]) == count
+    assert [t for t in tagged if "f" not in node_ops(t)] == list(shapes(n))
+
+
+def test_graft_product_into_right_comb():
+    # x1((x2x3)x4) from x1(x2x3) with a product in slot 2
+    got = graft(monomial(RIGHT_COMB3, (1, 2, 3)), 2, monomial(("m", LEAF, LEAF), (1, 2)))
+    assert got == monomial(("m", LEAF, ("m", ("m", LEAF, LEAF), LEAF)), (1, 2, 3, 4))
+    assert str(got) == "x1((x2x3)x4)"
+    # labels follow the monomial: x3(x1x2) o_1 (x1x2) = x4((x1x2)x3)
+    got = graft(monomial(RIGHT_COMB3, (3, 1, 2)), 1, monomial(("m", LEAF, LEAF), (1, 2)))
+    assert got == monomial(("m", LEAF, ("m", ("m", LEAF, LEAF), LEAF)), (4, 1, 2, 3))
+
+
+def test_graft_f_node_into_wa_relation():
+    f = monomial(("f", LEAF, LEAF), (1, 2))
+    got = graft(wa_expression(), 3, f)
+    m = lambda a, b: ("m", a, b)
+    fx = ("f", LEAF, LEAF)
+    # wa = x1(x2x3) - (x1x2)x3 + x2(x3x1) - (x2x3)x1 - x2(x1x3) + (x2x1)x3,
+    # with x3 -> f(x3, x4) and nothing else relabeled
+    expected = {
+        (m(LEAF, m(LEAF, fx)), (1, 2, 3, 4)): 1,
+        (m(m(LEAF, LEAF), fx), (1, 2, 3, 4)): -1,
+        (m(LEAF, m(fx, LEAF)), (2, 3, 4, 1)): 1,
+        (m(m(LEAF, fx), LEAF), (2, 3, 4, 1)): -1,
+        (m(LEAF, m(LEAF, fx)), (2, 1, 3, 4)): -1,
+        (m(m(LEAF, LEAF), fx), (2, 1, 3, 4)): 1,
+    }
+    assert got == MultilinearIdentity(4, expected)
+    assert str(got) == (
+        "x1(x2f(x3,x4)) - (x1x2)f(x3,x4) + x2(f(x3,x4)x1) - (x2f(x3,x4))x1"
+        " - x2(x1f(x3,x4)) + (x2x1)f(x3,x4)"
+    )
+    # the "f" node in slot 1 shifts every other label up by one
+    got = graft(wa_expression(), 1, f)
+    assert got.coefficient(m(fx, m(LEAF, LEAF)), (1, 2, 3, 4)) == 1
+    assert got.coefficient(m(LEAF, m(LEAF, fx)), (3, 4, 1, 2)) == 1
+    with pytest.raises(ValueError):
+        graft(wa_expression(), 4, f)
+    with pytest.raises(ValueError, match="formal operation"):
+        evaluate(two_dim_family(6), got)
+
+
+def test_arity_six_comb_difference_detects_associativity():
+    combs = monomial(shapes(6)[0], range(1, 7)) - monomial(shapes(6)[-1], range(1, 7))
+    assoc, non_assoc = truncated_polynomials(3), two_dim_family(6)
+    assert is_associative(assoc) and not is_associative(non_assoc)
+    assert not evaluate(assoc, monomial(shapes(6)[0], range(1, 7))).is_zero()
+    assert evaluate(assoc, combs).is_zero()
+    assert not evaluate(non_assoc, combs).is_zero()
 
 
 def test_associator_coefficients():
