@@ -9,6 +9,11 @@ composition: one map substituted into one input slot of another) is the one
 contraction routine; identity evaluation, the derivation, Jacobi, Jordan and
 Leibniz defects, and the coboundary and deformation code of the `cohomology`
 and `deform` modules are built from it and `linear_combination`.
+
+Inputs are validated once, by the public `MultiMap` constructor.  The results
+of `compose`, `linear_combination` and `permute_inputs` are built from maps
+that already hold the invariant, so they are wrapped without a second check
+(`_trusted`); their rows may be shared between maps and are never mutated.
 """
 
 from __future__ import annotations
@@ -134,6 +139,7 @@ class FinAlg:
         )
 
     def scale(self, q) -> "FinAlg":
+        q = _exact(q)
         n = self.dim
         return FinAlg(
             n,
@@ -180,7 +186,11 @@ def _check_indices(indices, dim: int, what: str):
 class MultiMap:
     """Sparse k-linear map A^k -> A: coeffs[input basis tuple] is the output
     as {coordinate: nonzero coefficient}.  Input tuples with zero output are
-    absent, and integral coefficients are ints."""
+    absent, and integral coefficients are ints.
+
+    The constructor is the one place that validates; maps computed from other
+    maps skip it (`_trusted`) and may share rows, so `coeffs` and its rows are
+    read-only."""
 
     __slots__ = ("arity", "dim", "coeffs")
 
@@ -260,7 +270,7 @@ class MultiMap:
             for t, i in zip(targets, idx):
                 key[t] = i
             out[tuple(key)] = row
-        return MultiMap(self.arity, self.dim, out)
+        return _trusted(self.arity, self.dim, out)
 
     def transpose_pair(self) -> "MultiMap":
         if self.arity != 2:
@@ -302,26 +312,52 @@ class MultiMap:
         return f"MultiMap(arity={self.arity}, dim={self.dim})"
 
 
-def _add_scaled(acc: dict, key: tuple, c, row: dict):
-    """acc[key] += c * row, for {coordinate: coefficient} rows."""
-    out = acc.get(key)
-    if out is None:
-        acc[key] = {k: c * x for k, x in row.items()}
-        return
+def _trusted(arity: int, dim: int, coeffs: dict) -> MultiMap:
+    """A MultiMap around `coeffs` without validation: the rows must already
+    hold the invariant (exact, nonzero, integral values as ints, indices in
+    range), as every result computed from validated maps does."""
+    m = object.__new__(MultiMap)
+    m.arity = arity
+    m.dim = dim
+    m.coeffs = coeffs
+    return m
+
+
+def _normalized(row: dict) -> dict:
+    """`row` without zero coefficients and with integral Fractions as ints:
+    the one cleaning pass over an accumulated row."""
+    out = {}
     for k, x in row.items():
-        out[k] = out.get(k, 0) + c * x
+        if x:
+            if type(x) is Fraction and x.denominator == 1:
+                x = x.numerator
+            out[k] = x
+    return out
 
 
 def linear_combination(arity: int, dim: int, terms) -> MultiMap:
-    """sum of q * m over the (q, m) pairs of `terms`, all of one shape."""
+    """sum of q * m over the (q, m) pairs of `terms`, all of one shape;
+    each q must be an int or a Fraction."""
     acc: dict = {}
     for q, m in terms:
         if m.arity != arity or m.dim != dim:
             raise ValueError("shape mismatch")
-        if q:
-            for idx, row in m.coeffs.items():
-                _add_scaled(acc, idx, q, row)
-    return MultiMap(arity, dim, acc)
+        q = _exact(q)
+        if not q:
+            continue
+        for idx, row in m.coeffs.items():
+            out = acc.get(idx)
+            if out is None:
+                acc[idx] = {k: q * x for k, x in row.items()}
+            else:
+                for k, x in row.items():
+                    out[k] = out.get(k, 0) + q * x
+    coeffs = {}
+    for idx, row in acc.items():
+        row = _normalized(row)
+        if row:
+            coeffs[idx] = row
+    return _trusted(arity, dim, coeffs)
 
 
 def compose(outer: MultiMap, slot: int, inner: MultiMap) -> MultiMap:
@@ -335,20 +371,33 @@ def compose(outer: MultiMap, slot: int, inner: MultiMap) -> MultiMap:
     `endo_to_map`) precomposed into a slot (inner) or applied to the output
     (outer, slot 0), and the product applied on either side of the output
     (`compose(product_map(alg), 1, m)` is x_1 m(x_2 ..)).  Work is
-    proportional to the nonzero coefficients that actually meet."""
+    proportional to the nonzero coefficients that actually meet: the outer
+    rows are grouped by their coordinate in `slot`, and each output row is
+    summed in one local dict per inner input tuple, then normalized once.
+    Both operands are trusted (validated when built); the result is too."""
     if outer.dim != inner.dim:
         raise ValueError("dimension mismatch")
     if not 0 <= slot < outer.arity:
         raise ValueError(f"slot {slot} outside 0..{outer.arity - 1}")
     by_coord: dict = {}
     for idx, row in outer.coeffs.items():
-        by_coord.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1 :], row))
-    acc: dict = {}
+        by_coord.setdefault(idx[slot], []).append(((idx[:slot], idx[slot + 1 :]), row))
+    coeffs: dict = {}
     for jdx, inner_row in inner.coeffs.items():
+        acc: dict = {}
         for a, c in inner_row.items():
-            for pre, post, row in by_coord.get(a, ()):
-                _add_scaled(acc, pre + jdx + post, c, row)
-    return MultiMap(outer.arity + inner.arity - 1, outer.dim, acc)
+            for pre_post, row in by_coord.get(a, ()):
+                out = acc.get(pre_post)
+                if out is None:
+                    acc[pre_post] = {k: c * x for k, x in row.items()}
+                else:
+                    for k, x in row.items():
+                        out[k] = out.get(k, 0) + c * x
+        for (pre, post), row in acc.items():
+            row = _normalized(row)
+            if row:
+                coeffs[pre + jdx + post] = row
+    return _trusted(outer.arity + inner.arity - 1, outer.dim, coeffs)
 
 
 def product_map(alg: FinAlg) -> MultiMap:
@@ -567,6 +616,9 @@ def _parse_rational(s):
         return s
     if not isinstance(s, str):
         raise AlgebraFormatError(f"rational must be a 'p/q' string, got {s!r}")
+    # Plain integers, most entries of a tensor, skip the Fraction parser.
+    if s.isascii() and s.removeprefix("-").isdigit():
+        return int(s)
     try:
         return _exact(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:

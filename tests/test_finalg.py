@@ -18,6 +18,8 @@ from wassoc.finalg import (
     AlgebraFormatError,
     FinAlg,
     MultiMap,
+    _exact,
+    _parse_rational,
     algebra_from_json,
     algebra_to_json,
     compose,
@@ -34,6 +36,7 @@ from wassoc.finalg import (
     is_weakly_associative,
     jordan_identity_defect,
     leibniz_defect_pair,
+    linear_combination,
     multimap_from_json,
     multimap_to_json,
     polarize,
@@ -42,6 +45,51 @@ from wassoc.finalg import (
 )
 from wassoc.identities import associator, wa_expression
 from wassoc.linalg import Matrix
+
+
+# Reference contraction: the accumulation `compose` and `linear_combination`
+# used before they built each output row in one place.  Every term goes
+# through `_reference_add_scaled`, and the result through the validating
+# constructor.
+
+def _reference_add_scaled(acc: dict, key: tuple, c, row: dict):
+    out = acc.get(key)
+    if out is None:
+        acc[key] = {k: c * x for k, x in row.items()}
+        return
+    for k, x in row.items():
+        out[k] = out.get(k, 0) + c * x
+
+
+def reference_linear_combination(arity: int, dim: int, terms) -> MultiMap:
+    acc: dict = {}
+    for q, m in terms:
+        if q:
+            for idx, row in m.coeffs.items():
+                _reference_add_scaled(acc, idx, q, row)
+    return MultiMap(arity, dim, acc)
+
+
+def reference_compose(outer: MultiMap, slot: int, inner: MultiMap) -> MultiMap:
+    by_coord: dict = {}
+    for idx, row in outer.coeffs.items():
+        by_coord.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1 :], row))
+    acc: dict = {}
+    for jdx, inner_row in inner.coeffs.items():
+        for a, c in inner_row.items():
+            for pre, post, row in by_coord.get(a, ()):
+                _reference_add_scaled(acc, pre + jdx + post, c, row)
+    return MultiMap(outer.arity + inner.arity - 1, outer.dim, acc)
+
+
+def assert_normalized(m: MultiMap):
+    """The stored form: no empty row, no zero coefficient, integral values
+    as ints."""
+    for row in m.coeffs.values():
+        assert row
+        for x in row.values():
+            assert x != 0
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def test_two_dim_family_wa_and_associativity():
@@ -387,3 +435,80 @@ def test_json_rationals_keep_integers_as_int():
     assert type(alg.c[1][1][0]) is int
     m = multimap_from_json([[["3/1", "0/5"], ["-1/3", "2"]], [["0/1", "0/1"], ["6/4", "1/1"]]], 2)
     assert m.coeffs == {(0, 0): {0: 3}, (0, 1): {0: Fraction(-1, 3), 1: 2}, (1, 1): {0: Fraction(3, 2), 1: 1}}
+
+
+def _cancelling_outer(arity: int, slot: int, dim: int, rng) -> MultiMap:
+    """A map whose rows at coordinate 1 of `slot` are half those at
+    coordinate 0, so an inner value (.., 1, -2, ..) cancels them exactly."""
+    raw = random_fraction_multimap(arity, dim, rng)
+
+    def value(*idx):
+        if idx[slot] != 1:
+            return raw(*idx)
+        base = raw(*idx[:slot], 0, *idx[slot + 1 :])
+        return tuple(x * Fraction(1, 2) for x in base)
+
+    return MultiMap.from_function(arity, dim, value)
+
+
+def test_contraction_matches_reference(rng):
+    dim = 3
+    for outer_arity in (1, 2, 3):
+        for inner_arity in (1, 2, 3):
+            g = random_fraction_multimap(inner_arity, dim, rng)
+            g_cancel = MultiMap.from_function(
+                inner_arity, dim, lambda *idx: (Fraction(1, 3), Fraction(-2, 3), idx[0] % 2)
+            )
+            for slot in range(outer_arity):
+                f = random_fraction_multimap(outer_arity, dim, rng)
+                f_cancel = _cancelling_outer(outer_arity, slot, dim, rng)
+                for outer, inner in ((f, g), (f_cancel, g_cancel), (f_cancel, g)):
+                    got = compose(outer, slot, inner)
+                    assert got.coeffs == reference_compose(outer, slot, inner).coeffs
+                    assert_normalized(got)
+                q = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 5))
+                h = random_fraction_multimap(outer_arity, dim, rng)
+                for terms in (
+                    [(1, f), (-1, f)],
+                    [(q, f), (1, h), (-q, f)],
+                    [(Fraction(1, 2), f), (Fraction(1, 2), f), (-1, h), (3, f_cancel)],
+                    [(Fraction(4, 2), h), (0, f)],
+                    [],
+                ):
+                    got = linear_combination(outer_arity, dim, terms)
+                    want = reference_linear_combination(outer_arity, dim, terms)
+                    assert got.coeffs == want.coeffs
+                    assert_normalized(got)
+                assert linear_combination(outer_arity, dim, [(1, f), (-1, f)]).is_zero()
+
+
+@pytest.mark.parametrize("q", [0.0, False, True, 0.5, "1"], ids=["zero-float", "false", "true", "float", "string"])
+def test_scale_rejects_inexact_scalars(q):
+    m = MultiMap(2, 2, {(0, 1): (1, Fraction(1, 2))})
+    with pytest.raises(TypeError):
+        m.scale(q)
+    with pytest.raises(TypeError):
+        linear_combination(2, 2, [(1, m), (q, m)])
+    with pytest.raises(TypeError):
+        two_dim_family(6).scale(q)
+    assert m.scale(0).is_zero()
+    assert two_dim_family(6).scale(Fraction(2)) == two_dim_family(6).add(two_dim_family(6))
+
+
+def _outcome(parse, s):
+    try:
+        x = parse(s)
+    except (ValueError, ZeroDivisionError):
+        return "rejected"
+    return type(x), x
+
+
+@pytest.mark.parametrize(
+    "s",
+    ["0", "-0", "00", "+3", " 3", "1_000", "\u0663", "3/1", "1e2", "1.5", "- 3", "", "-", "--1",
+     "12", "-7", "4/6"],
+)
+def test_parse_rational_integer_fast_path_matches_fraction(s):
+    """The plain-integer shortcut accepts and returns exactly what the
+    Fraction path does on the running interpreter."""
+    assert _outcome(_parse_rational, s) == _outcome(lambda t: _exact(Fraction(t)), s)
