@@ -22,7 +22,9 @@ from fractions import Fraction
 from .finalg import (
     FinAlg,
     MultiMap,
+    _exact,
     compose,
+    contract,
     derivation_defect,
     is_nonassociative_poisson,
     linear_combination,
@@ -90,11 +92,11 @@ def hochschild_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     mu = product_map(ctx.alg)
     k = phi.arity
     terms = itertools.chain(
-        [(1, compose(mu, 1, phi))],
-        (((-1) ** (i + 1), compose(phi, i, mu)) for i in range(k)),
-        [((-1) ** (k + 1), compose(mu, 0, phi))],
+        [(1, mu, 1, phi)],
+        (((-1) ** (i + 1), phi, i, mu) for i in range(k)),
+        [((-1) ** (k + 1), mu, 0, phi)],
     )
-    return linear_combination(k + 1, phi.dim, terms)
+    return contract(k + 1, phi.dim, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +401,13 @@ def build_delta3_system() -> Delta3System:
 
 def wa_delta3(ctx: CochainContext, phi3: MultiMap, coeffs) -> MultiMap:
     """Degree-3 operator for a chosen coefficient vector (indexed like
-    `delta3_unknowns()`)."""
+    `delta3_unknowns()`); every coefficient must be an int or a Fraction."""
     if phi3.arity != 3:
         raise ValueError("needs arity 3")
     unknowns = delta3_unknowns()
     if len(coeffs) != len(unknowns):
         raise ValueError("coefficient vector must have 120 entries")
+    coeffs = [_exact(q) for q in coeffs]
     mu = product_map(ctx.alg)
     family = {
         "a": compose(mu, 1, phi3),  # x1 f(x2, x3, x4)

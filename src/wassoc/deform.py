@@ -24,12 +24,15 @@ from .finalg import (
     algebra_from_json,
     algebra_to_json,
     compose,
+    contract,
     endo_to_map,
+    identity_map,
     is_commutative,
     is_nonassociative_poisson,
     is_weakly_associative,
     leibniz_defect_pair,
     linear_combination,
+    map_to_endo,
     multimap_from_json,
     multimap_to_json,
     polarize,
@@ -82,12 +85,11 @@ def wa_defect(deformation: TruncatedDeformation, k: int) -> MultiMap:
         raise ValueError(f"order {k} outside 1..{deformation.order}")
     phi = [deformation.coefficient(i) for i in range(k + 1)]
     terms = (
-        (sign, compose(phi[i], slot, phi[k - i]))
+        (sign, phi[i], slot, phi[k - i])
         for i in range(k + 1)
-        if not (phi[i].is_zero() or phi[k - i].is_zero())
         for sign, slot in ((1, 1), (-1, 0))
     )
-    return wa_symmetrize3(linear_combination(3, deformation.base.dim, terms))
+    return wa_symmetrize3(contract(3, deformation.base.dim, terms))
 
 
 def is_wa_deformation(deformation: TruncatedDeformation) -> bool:
@@ -177,23 +179,28 @@ class GaugeTransform:
     def order(self) -> int:
         return len(self.h)
 
+    def maps(self) -> list[MultiMap]:
+        """Id, h_1 .. h_N as 1-linear maps."""
+        if not self.h:
+            raise ValueError("empty gauge transform")
+        n = self.h[0].rows
+        return [identity_map(n)] + [endo_to_map(n, m) for m in self.h]
+
+    def inverse_maps(self, order: int) -> list[MultiMap]:
+        """g_0 = Id, g_1 .. g_order of the truncated series inverse of f_t,
+        as 1-linear maps: g_k = -sum_{i=1..k} h_i g_{k-i}, with h_i = 0
+        beyond the order of f_t."""
+        h = self.maps()
+        n = h[0].dim
+        g = h[:1]
+        for k in range(1, order + 1):
+            terms = ((-1, h[i], 0, g[k - i]) for i in range(1, min(k, self.order) + 1))
+            g.append(contract(1, n, terms))
+        return g
+
     def inverse_terms(self, order: int) -> list[Matrix]:
         """Terms g_1..g_order of the truncated series inverse of f_t."""
-        n = self.h[0].rows if self.h else 0
-        if n == 0:
-            raise ValueError("empty gauge transform")
-        ident = Matrix.identity(n)
-
-        def term(k: int) -> Matrix:
-            return self.h[k - 1] if 1 <= k <= len(self.h) else Matrix.zero(n, n)
-
-        g: list[Matrix] = []
-        for k in range(1, order + 1):
-            acc = term(k).scale(-1)
-            for i in range(1, k):
-                acc = acc - (term(i) @ g[k - i - 1])
-            g.append(acc)
-        return g
+        return [map_to_endo(g) for g in self.inverse_maps(order)[1:]]
 
 
 def identity_gauge(dim: int, order: int = 3) -> GaugeTransform:
@@ -204,32 +211,23 @@ def gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> TruncatedDefo
     """mu'_t = f_t . mu_t . (f_t^-1 x f_t^-1), truncated at the deformation
     order.  With g_c the terms of f_t^-1 (g_0 = Id), the t^m part of
     mu_t(f_t^-1 x, f_t^-1 y) is T_m = sum_{b+c+d=m} phi_b(g_c x, g_d y),
-    built one input slot at a time; then phi'_k = sum_{a+m=k} h_a(T_m)."""
+    built one input slot at a time; then phi'_k = sum_{a+m=k} h_a(T_m)
+    (h_0 = Id)."""
     n = deformation.base.dim
     order = deformation.order
     if g.order != order:
         raise ValueError("gauge order must match the deformation order")
-    # Index 0 is the identity, which is never contracted.
-    h = [None] + [endo_to_map(n, m) for m in g.h]
-    ginv = [None] + [endo_to_map(n, m) for m in g.inverse_terms(order)]
+    h = g.maps()
+    ginv = g.inverse_maps(order)
     phi = [deformation.coefficient(b) for b in range(order + 1)]
 
-    def series(maps, endos, apply):
-        """out_m = sum_{j+c=m} apply(maps_j, endos_c), skipping zero terms."""
-        out = []
-        for m in range(order + 1):
-            pairs = ((maps[m - c], endos[c]) for c in range(m + 1))
-            terms = (
-                (1, t if e is None else apply(t, e))
-                for t, e in pairs
-                if not (t.is_zero() or (e is not None and e.is_zero()))
-            )
-            out.append(linear_combination(2, n, terms))
-        return out
+    def series(term):
+        """out_m = the sum over c = 0..m of the compositions term(m - c, c)."""
+        return [contract(2, n, (term(m - c, c) for c in range(m + 1))) for m in range(order + 1)]
 
-    first = series(phi, ginv, lambda t, e: compose(t, 0, e))
-    both = series(first, ginv, lambda t, e: compose(t, 1, e))
-    new = series(both, h, lambda t, e: compose(e, 0, t))
+    first = series(lambda j, c: (1, phi[j], 0, ginv[c]))
+    both = series(lambda j, c: (1, first[j], 1, ginv[c]))
+    new = series(lambda j, c: (1, h[c], 0, both[j]))
     return TruncatedDeformation(deformation.base, new[1:])
 
 
@@ -277,16 +275,15 @@ def ncp_defect(
     if not (is_nonassociative_poisson(bullet, bracket) or satisfies_jacobi(bracket)):
         raise ValueError("bracket must be a Lie bracket")
     dot, br = product_map(bullet), product_map(bracket)
+    n = bullet.dim
     swap12 = (2, 1, 3)  # (x, y, z) -> (y, x, z)
+    plain = contract(3, n, ((1, b1, 1, dot), (-1, dot, 0, b1), (1, br, 1, rho1), (-1, rho1, 0, br)))
     return linear_combination(
         3,
-        bullet.dim,
+        n,
         (
-            (1, compose(b1, 1, dot)),
-            (-1, compose(dot, 0, b1)),
+            (1, plain),
             (-1, compose(dot, 1, b1).permute_inputs(swap12)),
-            (1, compose(br, 1, rho1)),
-            (-1, compose(rho1, 0, br)),
             (-1, compose(rho1, 1, br).permute_inputs(swap12)),
         ),
     )

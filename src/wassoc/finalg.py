@@ -4,14 +4,16 @@ A FinAlg is a dim-n algebra with e_i * e_j = sum_k c[i][j][k] e_k (0-based
 indices internally, 1-based in error messages and witnesses), stored as a
 dense table.  A MultiMap is a k-linear map stored sparsely: only input tuples
 with a nonzero output, and only the nonzero output coordinates, with integral
-coefficients kept as ints and the rest as Fractions.  `compose` (partial
-composition: one map substituted into one input slot of another) is the one
-contraction routine; identity evaluation, the derivation, Jacobi, Jordan and
-Leibniz defects, and the coboundary and deformation code of the `cohomology`
-and `deform` modules are built from it and `linear_combination`.
+coefficients kept as ints and the rest as Fractions.  `contract` (a signed sum
+of partial compositions, each one map substituted into one input slot of
+another, added into one accumulator) is the one contraction routine, and
+`compose` is its one-term case.  Identity evaluation, the derivation, Jacobi,
+Jordan and Leibniz defects, and the coboundary and deformation code of the
+`cohomology` and `deform` modules are built from it; terms that also permute
+their inputs (`permute_inputs`) are summed by `linear_combination`.
 
 Inputs are validated once, by the public `MultiMap` constructor.  The results
-of `compose`, `linear_combination` and `permute_inputs` are built from maps
+of `contract`, `linear_combination` and `permute_inputs` are built from maps
 that already hold the invariant, so they are wrapped without a second check
 (`_trusted`); their rows may be shared between maps and are never mutated.
 """
@@ -360,48 +362,87 @@ def linear_combination(arity: int, dim: int, terms) -> MultiMap:
     return _trusted(arity, dim, coeffs)
 
 
-def compose(outer: MultiMap, slot: int, inner: MultiMap) -> MultiMap:
-    """Partial composition: `inner` substituted into input `slot` (0-based)
-    of `outer`, with the inputs of `inner` taking that slot's place:
+def contract(arity: int, dim: int, terms) -> MultiMap:
+    """sum of q * (outer o_slot inner) over the (q, outer, slot, inner) terms
+    of `terms`, each a partial composition: `inner` substituted into input
+    `slot` (0-based) of `outer`, with the inputs of `inner` taking that
+    slot's place:
 
       (x_1 .. x_{k+l-1}) -> outer(x_1 .. x_slot, inner(x_{slot+1} .. x_{slot+l}), ..).
 
     Every contraction of multilinear maps in the package is this one routine:
     a bilinear map substituted into a slot, an endomorphism (a 1-linear map,
     `endo_to_map`) precomposed into a slot (inner) or applied to the output
-    (outer, slot 0), and the product applied on either side of the output
-    (`compose(product_map(alg), 1, m)` is x_1 m(x_2 ..)).  Work is
+    (outer, slot 0), the product applied on either side of the output
+    (`compose(product_map(alg), 1, m)` is x_1 m(x_2 ..)), and the signed sums
+    of such terms that make up coboundaries, defects and gauge series.  All
+    terms add into one accumulator keyed by the output input tuple, and each
+    output row gets the one cleaning pass, `_normalized`, at the end.  Work is
     proportional to the nonzero coefficients that actually meet: the outer
-    rows are grouped by their coordinate in `slot`, and each output row is
-    summed in one local dict per inner input tuple, then normalized once.
-    Both operands are trusted (validated when built); the result is too."""
-    if outer.dim != inner.dim:
-        raise ValueError("dimension mismatch")
-    if not 0 <= slot < outer.arity:
-        raise ValueError(f"slot {slot} outside 0..{outer.arity - 1}")
-    by_coord: dict = {}
-    for idx, row in outer.coeffs.items():
-        by_coord.setdefault(idx[slot], []).append(((idx[:slot], idx[slot + 1 :]), row))
-    coeffs: dict = {}
-    for jdx, inner_row in inner.coeffs.items():
-        acc: dict = {}
-        for a, c in inner_row.items():
-            for pre_post, row in by_coord.get(a, ()):
-                out = acc.get(pre_post)
-                if out is None:
-                    acc[pre_post] = {k: c * x for k, x in row.items()}
-                else:
+    rows of a term are grouped by their coordinate in `slot`, keyed
+    `(pre, post)`, and each inner row looks up the accumulator row of each
+    `(pre, post)` once, so each output key is built once per inner row.
+    Each q must be an int or a Fraction; the operands are trusted (validated
+    when built), and so is the result."""
+    acc: dict = {}
+    for q, outer, slot, inner in terms:
+        if outer.dim != dim or inner.dim != dim:
+            raise ValueError("dimension mismatch")
+        if outer.arity + inner.arity - 1 != arity:
+            raise ValueError("shape mismatch")
+        if not 0 <= slot < outer.arity:
+            raise ValueError(f"slot {slot} outside 0..{outer.arity - 1}")
+        q = _exact(q)
+        if not (q and outer.coeffs and inner.coeffs):
+            continue
+        by_coord: dict = {}
+        for idx, row in outer.coeffs.items():
+            by_coord.setdefault(idx[slot], []).append(((idx[:slot], idx[slot + 1 :]), row))
+        for jdx, inner_row in inner.coeffs.items():
+            # (pre, post) -> the accumulator row of the key pre + jdx + post.
+            local: dict = {}
+            for a, c in inner_row.items():
+                if q != 1:
+                    c = q * c
+                for pre_post, row in by_coord.get(a, ()):
+                    out = local.get(pre_post)
+                    if out is None:
+                        key = pre_post[0] + jdx + pre_post[1]
+                        out = acc.get(key)
+                        if out is None:
+                            acc[key] = local[pre_post] = {k: c * x for k, x in row.items()}
+                            continue
+                        local[pre_post] = out
                     for k, x in row.items():
                         out[k] = out.get(k, 0) + c * x
-        for (pre, post), row in acc.items():
-            row = _normalized(row)
-            if row:
-                coeffs[pre + jdx + post] = row
-    return _trusted(outer.arity + inner.arity - 1, outer.dim, coeffs)
+    coeffs = {}
+    for idx, row in acc.items():
+        row = _normalized(row)
+        if row:
+            coeffs[idx] = row
+    return _trusted(arity, dim, coeffs)
+
+
+def compose(outer: MultiMap, slot: int, inner: MultiMap) -> MultiMap:
+    """Partial composition, the one-term `contract`: `inner` substituted
+    into input `slot` (0-based) of `outer`."""
+    return contract(outer.arity + inner.arity - 1, outer.dim, ((1, outer, slot, inner),))
+
+
+def identity_map(dim: int) -> MultiMap:
+    """The identity endomorphism as a 1-linear map."""
+    return _trusted(1, dim, {(i,): {i: 1} for i in range(dim)})
 
 
 def product_map(alg: FinAlg) -> MultiMap:
-    return MultiMap.from_function(2, alg.dim, lambda i, j: alg.product(i, j))
+    """The product as a bilinear map, read from the (validated) table."""
+    coeffs = {}
+    for i, plane in enumerate(alg.c):
+        for j, vec in enumerate(plane):
+            row = _normalized(dict(enumerate(vec)))
+            if row:
+                coeffs[(i, j)] = row
+    return _trusted(2, alg.dim, coeffs)
 
 
 def endo_to_map(alg_dim: int, m: Matrix) -> MultiMap:
@@ -409,6 +450,14 @@ def endo_to_map(alg_dim: int, m: Matrix) -> MultiMap:
     if m.rows != alg_dim or m.cols != alg_dim:
         raise ValueError("endomorphism must be dim x dim")
     return MultiMap(1, alg_dim, {(j,): m.col(j) for j in range(alg_dim)})
+
+
+def map_to_endo(m: MultiMap) -> Matrix:
+    """A 1-linear map as a column-convention matrix: column j is m(e_j)."""
+    if m.arity != 1:
+        raise ValueError("needs arity 1")
+    cols = [m(j) for j in range(m.dim)]
+    return Matrix.from_rows([[col[k] for col in cols] for k in range(m.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +469,7 @@ def evaluate(alg: FinAlg, e: MultilinearIdentity) -> MultiMap:
     zero tensor iff the algebra satisfies the identity."""
     n = alg.dim
     mu = product_map(alg)
-    trees: dict = {LEAF: MultiMap(1, n, {(i,): {i: 1} for i in range(n)})}
+    trees: dict = {LEAF: identity_map(n)}
 
     def tree(shape) -> MultiMap:
         """The shape's tree of products, inputs in leaf order."""
@@ -495,7 +544,7 @@ def jordan_identity_defect(alg: FinAlg) -> MultiMap:
     mu = product_map(alg)
     right = compose(mu, 1, mu)
     # Both trees take their inputs as (x_a, y, x_b, x_c).
-    defect = compose(right, 0, mu) - compose(mu, 1, right)
+    defect = contract(4, alg.dim, ((1, right, 0, mu), (-1, mu, 1, right)))
     return linear_combination(
         4,
         alg.dim,
@@ -517,9 +566,7 @@ def derivation_defect(alg: FinAlg, f: Matrix) -> MultiMap:
     """f(x)y + x f(y) - f(xy); f in column convention."""
     mu = product_map(alg)
     fm = endo_to_map(alg.dim, f)
-    return linear_combination(
-        2, alg.dim, ((1, compose(mu, 0, fm)), (1, compose(mu, 1, fm)), (-1, compose(fm, 0, mu)))
-    )
+    return contract(2, alg.dim, ((1, mu, 0, fm), (1, mu, 1, fm), (-1, fm, 0, mu)))
 
 
 def is_derivation(alg: FinAlg, f: Matrix) -> bool:

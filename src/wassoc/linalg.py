@@ -27,13 +27,11 @@ Rational = Fraction
 
 
 def as_rational(x) -> Fraction:
+    """An int or Fraction as a Fraction; bools, floats and strings are
+    rejected (text input is parsed where it is read, not here)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise TypeError(f"not an exact rational: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 

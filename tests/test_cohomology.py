@@ -432,6 +432,14 @@ def test_delta3_zero_coefficients_give_zero_operator(rng):
     assert wa_delta3(ctx, phi3, [0] * 120).is_zero()
 
 
+@pytest.mark.parametrize("zero", [0.0, False], ids=["float", "bool"])
+def test_delta3_rejects_inexact_zero_coefficients(zero, rng):
+    alg = two_dim_family(6)
+    phi3 = random_multimap(3, alg.dim, rng, 2)
+    with pytest.raises(TypeError):
+        wa_delta3(CochainContext(alg), phi3, [zero] * 120)
+
+
 def test_delta3_unknown_labels():
     unknowns = delta3_unknowns()
     assert len(unknowns) == 120

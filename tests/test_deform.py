@@ -32,9 +32,11 @@ from wassoc.deform import (
 from wassoc.finalg import (
     FinAlg,
     MultiMap,
+    identity_map,
     is_associative,
     is_commutative,
     is_nonassociative_poisson,
+    map_to_endo,
     polarize,
 )
 from wassoc.linalg import Matrix
@@ -430,6 +432,37 @@ def gauge_cases(ring, rng):
         ("upper-triangular-zero", zero_deformation(ut, 3),
          GaugeTransform([random_endomorphism(3, rng, 2) for _ in range(3)])),
     ]
+
+
+def reference_inverse_terms(g: GaugeTransform, order: int) -> list[Matrix]:
+    """The dense Matrix recurrence g_k = -h_k - sum_{i<k} h_i g_{k-i}."""
+    n = g.h[0].rows
+
+    def term(k):
+        return g.h[k - 1] if 1 <= k <= len(g.h) else Matrix.zero(n, n)
+
+    out = []
+    for k in range(1, order + 1):
+        acc = term(k).scale(-1)
+        for i in range(1, k):
+            acc = acc - (term(i) @ out[k - i - 1])
+        out.append(acc)
+    return out
+
+
+def test_inverse_series_matches_matrix_recurrence(rng):
+    for order in (1, 2, 3, 4):
+        for n in (1, 3, 4):
+            for g in (
+                GaugeTransform([random_endomorphism(n, rng, 2) for _ in range(order)]),
+                random_fraction_gauge(n, order, rng),
+                random_fraction_gauge(n, order, rng, zero_orders=(1,)),
+            ):
+                for length in (order, order + 2):
+                    assert g.inverse_terms(length) == reference_inverse_terms(g, length)
+                maps = g.inverse_maps(order)
+                assert maps[0] == identity_map(n)
+                assert [map_to_endo(m) for m in maps[1:]] == g.inverse_terms(order)
 
 
 def test_gauge_and_defect_match_dense_reference(ring, rng):

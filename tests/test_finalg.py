@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from wassoc.finalg import (
     algebra_from_json,
     algebra_to_json,
     compose,
+    contract,
     depolarize,
     evaluate,
     inner_derivation_candidate,
@@ -40,6 +42,7 @@ from wassoc.finalg import (
     multimap_from_json,
     multimap_to_json,
     polarize,
+    product_map,
     satisfies_jacobi,
     satisfies_jordan_identity,
 )
@@ -480,6 +483,96 @@ def test_contraction_matches_reference(rng):
                     assert got.coeffs == want.coeffs
                     assert_normalized(got)
                 assert linear_combination(outer_arity, dim, [(1, f), (-1, f)]).is_zero()
+
+
+def _contract_terms(arity: int, dim: int, rng) -> list:
+    """(q, outer, slot, inner) terms of every outer/inner arity pair (1-3)
+    and slot that give `arity` inputs, mixed in one list: random Fraction
+    maps under a random (possibly zero) q, an inner row (1/3, -2/3, ..) that
+    cancels its outer rows exactly, and two halves of one integer term whose
+    sum is integral."""
+    terms = []
+    for outer_arity in (1, 2, 3):
+        inner_arity = arity + 1 - outer_arity
+        if not 1 <= inner_arity <= 3:
+            continue
+        g = random_fraction_multimap(inner_arity, dim, rng)
+        g_int = random_multimap(inner_arity, dim, rng)
+        g_cancel = MultiMap.from_function(
+            inner_arity, dim, lambda *idx: (Fraction(1, 3), Fraction(-2, 3), idx[0] % 2)
+        )
+        for slot in range(outer_arity):
+            f = random_fraction_multimap(outer_arity, dim, rng)
+            f_int = MultiMap.from_function(
+                outer_arity, dim, lambda *idx: tuple(2 * rng.randint(-2, 2) + 1 for _ in range(dim))
+            )
+            q = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            terms += [
+                (q, f, slot, g),
+                (1, _cancelling_outer(outer_arity, slot, dim, rng), slot, g_cancel),
+                (0, f, slot, g_int),
+                (Fraction(1, 2), f_int, slot, g_int),
+                (Fraction(1, 2), f_int, slot, g_int),
+                (-1, MultiMap.zero(outer_arity, dim), slot, g),
+            ]
+    return terms
+
+
+def test_contract_matches_reference(rng):
+    dim = 3
+    for arity in range(1, 6):
+        terms = _contract_terms(arity, dim, rng)
+        negated = [(-q, outer, slot, inner) for q, outer, slot, inner in terms]
+        thirds = [(Fraction(1, 3),) + terms[0][1:]] * 3 + [(-1,) + terms[0][1:]]
+        before = copy.deepcopy([(outer.coeffs, inner.coeffs) for _, outer, slot, inner in terms])
+        for case in (
+            terms,
+            terms + negated,
+            terms + negated[::2],
+            thirds,
+            terms[3:5],
+            [],
+        ):
+            got = contract(arity, dim, case)
+            want = reference_linear_combination(
+                arity, dim, ((q, reference_compose(o, slot, i)) for q, o, slot, i in case)
+            )
+            assert got.coeffs == want.coeffs
+            assert_normalized(got)
+        assert contract(arity, dim, terms + negated).is_zero()
+        assert contract(arity, dim, thirds).is_zero()
+        halves = contract(arity, dim, terms[3:5])
+        assert all(type(x) is int for row in halves.coeffs.values() for x in row.values())
+        assert [(outer.coeffs, inner.coeffs) for _, outer, slot, inner in terms] == before
+
+
+def test_contract_rejects_shape_mismatch(rng):
+    f, g = random_fraction_multimap(2, 3, rng), random_fraction_multimap(2, 3, rng)
+    for arity, dim, terms in (
+        (2, 3, [(1, f, 0, g)]),
+        (3, 4, [(1, f, 0, g)]),
+        (3, 3, [(1, f, 1, g), (1, f, 2, g)]),
+        (3, 3, [(1, f, 1, g), (1, f, 0, MultiMap.zero(2, 4))]),
+    ):
+        with pytest.raises(ValueError):
+            contract(arity, dim, terms)
+    with pytest.raises(TypeError):
+        contract(3, 3, [(0.0, f, 0, g)])
+
+
+def test_product_map_matches_validating_constructor(wa_members, non_wa_members):
+    halves = FinAlg(2, [
+        [[Fraction(4, 2), Fraction(1, 2)], [0, Fraction(0, 3)]],
+        [[Fraction(-6, 3), 1], [Fraction(3, 6), 0]],
+    ])
+    for alg in [alg for _, alg in wa_members + non_wa_members] + [halves]:
+        got = product_map(alg)
+        want = MultiMap.from_function(2, alg.dim, lambda i, j: alg.product(i, j))
+        assert got.coeffs == want.coeffs
+        assert_normalized(got)
+    assert product_map(halves).coeffs == {
+        (0, 0): {0: 2, 1: Fraction(1, 2)}, (1, 0): {0: -2, 1: 1}, (1, 1): {0: Fraction(1, 2)}
+    }
 
 
 @pytest.mark.parametrize("q", [0.0, False, True, 0.5, "1"], ids=["zero-float", "false", "true", "float", "string"])

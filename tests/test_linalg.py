@@ -410,3 +410,11 @@ def test_booleans_are_not_rationals():
         as_rational(True)
     with pytest.raises(TypeError):
         Matrix.from_rows([[True, 0]])
+
+
+def test_strings_are_not_rationals():
+    for parse in (lambda: as_rational("1/2"), lambda: vector(["3"]), lambda: Matrix.from_rows([["1/2"]])):
+        with pytest.raises(TypeError):
+            parse()
+    with pytest.raises(TypeError):
+        Matrix.from_rows([["1/2", " 3"], [0, "1_0"]])
