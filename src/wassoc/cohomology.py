@@ -42,7 +42,7 @@ from .identities import (
     shapes,
     wa_expression,
 )
-from .linalg import Matrix, Vector, kernel_basis, sparse_reduce, sparse_rref
+from .linalg import Matrix, Vector, dense_row, sparse_kernel, sparse_reduce, sparse_rref
 from .symgroup import (
     C3,
     T12,
@@ -343,19 +343,29 @@ def _ansatz_columns() -> list[MultilinearIdentity]:
 class Delta3System:
     """The degree-3 ansatz system: its size as assembled (one equation per
     free monomial, one unknown per ansatz term), the rank of the consequence
-    span, and the system reduced modulo that span with its kernel."""
+    span, and the system reduced modulo that span, as sparse rows
+    {unknown: coefficient}, with its kernel."""
 
     assembled_rows: int                 # 360 free monomials
     columns: int                        # 120 unknowns
     unknowns: list[tuple[str, tuple[int, ...]]]
     monomials: list = field(repr=False)
     consequence_dim: int = 0
-    reduced_matrix: Matrix | None = None
+    reduced_rows: list[dict[int, Fraction]] = field(default_factory=list, repr=False)
     kernel: list[Vector] = field(default_factory=list)
 
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel)
+
+    @property
+    def reduced_matrix(self) -> Matrix:
+        """The reduced system as a dense `Fraction` matrix, built on access."""
+        return Matrix(
+            len(self.reduced_rows),
+            self.columns,
+            tuple(dense_row(row, self.columns) for row in self.reduced_rows),
+        )
 
 
 def build_delta3_system() -> Delta3System:
@@ -374,28 +384,23 @@ def build_delta3_system() -> Delta3System:
     pivots = sparse_rref(
         (sparse(e) for e in consequence_generators(wa_expression(), "f")), nrows
     )
-    # Normal form of each column modulo the consequence span, restricted to
-    # the coordinates that are not pivots of that span.
-    normals = [sparse_reduce(pivots, col) for col in cols]
+    # The normal form of each column modulo the consequence span vanishes on
+    # the span's pivot coordinates; the reduced system has one row per other
+    # coordinate, holding that coordinate of every normal form.
     pivot_set = {next(iter(row)) for row in pivots}
-    zero = Fraction(0)
-    reduced = Matrix(
-        nrows - len(pivots),
-        len(cols),
-        tuple(
-            tuple(n.get(i, zero) for n in normals)
-            for i in range(nrows)
-            if i not in pivot_set
-        ),
-    )
+    position = {i: r for r, i in enumerate(i for i in range(nrows) if i not in pivot_set)}
+    reduced: list[dict[int, Fraction]] = [{} for _ in position]
+    for j, col in enumerate(cols):
+        for i, x in sparse_reduce(pivots, col).items():
+            reduced[position[i]][j] = x
     return Delta3System(
         assembled_rows=nrows,
         columns=len(cols),
         unknowns=unknowns,
         monomials=basis,
         consequence_dim=len(pivots),
-        reduced_matrix=reduced,
-        kernel=kernel_basis(reduced),
+        reduced_rows=reduced,
+        kernel=sparse_kernel(sparse_rref(reduced, len(cols)), len(cols)),
     )
 
 

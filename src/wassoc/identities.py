@@ -5,8 +5,9 @@ subtrees.  The product is "m"; the degree-3 coboundary ansatz also uses a
 formal cochain symbol "f".  This module owns the tree format: `shapes`
 enumerates trees, `leaf_count`, `node_ops` and `shape_str` read them,
 `graft` (partial composition) substitutes one tree into a leaf of another,
-and `consequence_generators` builds the consequences of a relation one
-arity up from grafts and relabelings.
+and `consequence_generators` builds the consequences of a relation span one
+arity up from grafts and one relabeling per coset of the relabelings that
+the span absorbs: (n+1)(n+2) rows per basis vector of an arity-n span.
 
 An identity of arity n is a rational vector over pairs (tree, labeling):
 the labeling assigns the variable indices 1..n to the leaves left to right.
@@ -16,7 +17,9 @@ symmetric-group algebra acts by relabeling.  The coordinate order of the
 one-operation monomials of each arity (`monomial_order`) and its index are
 built once; an identity is ranked as its sparse row (`sparse_row`,
 {column: coefficient}) through `linalg.sparse_rref`, and `coordinates` gives
-the dense vector.
+the dense vector.  The constructor is the only validation: results of
+arithmetic, relabeling and grafting are built from validated identities by
+`_trusted`, which only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .linalg import as_rational
-from .symgroup import GroupAlgebraElement, Perm, all_perms, sigma_basis
+from .linalg import as_rational, sparse_rref
+from .symgroup import SIGMA3, GroupAlgebraElement, Perm, all_perms, sigma_basis
 
 LEAF = None
 Shape = object
@@ -68,6 +71,15 @@ def _monomial_index(arity: int) -> Mapping[tuple, int]:
     """(shape, labels) -> position in `monomial_order(arity)`, read-only
     because every identity of that arity shares it."""
     return MappingProxyType({key: i for i, key in enumerate(monomial_order(arity))})
+
+
+@lru_cache(maxsize=None)
+def _shape_position(arity: int) -> Mapping[Shape, int]:
+    """One-operation tree -> position in `shapes(arity)`, read-only."""
+    return MappingProxyType({shape: i for i, shape in enumerate(shapes(arity))})
+
+
+_SIGMA3_POSITION = {p.images: i for i, p in enumerate(SIGMA3)}
 
 
 def leaf_count(shape: Shape) -> int:
@@ -139,15 +151,15 @@ class MultilinearIdentity:
             raise ValueError("arity mismatch")
         acc = dict(self.coeffs)
         for k, q in other.coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) + q
-        return MultilinearIdentity(self.arity, acc)
+            acc[k] = acc[k] + q if k in acc else q
+        return _trusted(self.arity, acc)
 
     def __sub__(self, other: "MultilinearIdentity") -> "MultilinearIdentity":
         return self + other.scale(-1)
 
     def scale(self, q) -> "MultilinearIdentity":
         q = as_rational(q)
-        return MultilinearIdentity(self.arity, {k: q * c for k, c in self.coeffs.items()})
+        return _trusted(self.arity, {k: q * c for k, c in self.coeffs.items()})
 
     def coefficient(self, shape: Shape, labels: Iterable[int]) -> Fraction:
         return self.coeffs.get((shape, tuple(labels)), Fraction(0))
@@ -170,11 +182,21 @@ class MultilinearIdentity:
         return {index[key]: q for key, q in self.coeffs.items()}
 
     def __str__(self) -> str:
+        """Terms in `monomial_order` (shape position, then the labels'
+        group-basis position), computed per term so any arity prints; trees
+        with another operation follow in insertion order."""
         if not self.coeffs:
             return "0"
-        index = _monomial_index(self.arity)
+        position = _shape_position(self.arity)
+
+        def order(key):
+            shape, labels = key
+            if shape not in position:
+                return (1,)
+            return (0, position[shape], _SIGMA3_POSITION[labels] if self.arity == 3 else labels)
+
         parts = []
-        for key in sorted(self.coeffs, key=lambda k: index.get(k, len(index))):
+        for key in sorted(self.coeffs, key=order):
             q = self.coeffs[key]
             sign = "-" if q < 0 else "+"
             mag = abs(q)
@@ -188,6 +210,17 @@ class MultilinearIdentity:
 
     def __repr__(self) -> str:
         return f"MultilinearIdentity({self})"
+
+
+def _trusted(arity: int, acc: dict) -> MultilinearIdentity:
+    """A MultilinearIdentity around the nonzero entries of `acc` without
+    validation: its keys must already be monomials of this arity and its
+    values Fractions, as every result computed from validated identities
+    is."""
+    e = object.__new__(MultilinearIdentity)
+    e.arity = arity
+    e.coeffs = {k: q for k, q in acc.items() if q}
+    return e
 
 
 def monomial(shape: Shape, labels: Iterable[int], coeff=1) -> MultilinearIdentity:
@@ -204,21 +237,23 @@ def apply_perm(e: MultilinearIdentity, s: Perm) -> MultilinearIdentity:
     precomposition of the evaluated map with the slot permutation of s."""
     if e.arity != s.n:
         raise ValueError("arity mismatch")
-    acc: dict[tuple, Fraction] = {}
-    for (shape, labels), q in e.coeffs.items():
-        key = (shape, tuple(s(l) for l in labels))
-        acc[key] = acc.get(key, Fraction(0)) + q
-    return MultilinearIdentity(e.arity, acc)
+    images = (None,) + s.images
+    # Relabeling is injective on monomials, so no two terms merge.
+    return _trusted(
+        e.arity,
+        {(shape, tuple([images[l] for l in labels])): q for (shape, labels), q in e.coeffs.items()},
+    )
 
 
 def apply_group_vector(e: MultilinearIdentity, v: GroupAlgebraElement) -> MultilinearIdentity:
     """Linear extension of apply_perm over a group-algebra element."""
     if e.arity != v.n:
         raise ValueError("arity mismatch")
-    out = zero_identity(e.arity)
+    acc: dict[tuple, Fraction] = {}
     for p, q in v.coeffs.items():
-        out = out + apply_perm(e, p).scale(q)
-    return out
+        for k, c in apply_perm(e, p).coeffs.items():
+            acc[k] = acc[k] + q * c if k in acc else q * c
+    return _trusted(e.arity, acc)
 
 
 def graft(outer: MultilinearIdentity, var: int, inner: MultilinearIdentity) -> MultilinearIdentity:
@@ -246,19 +281,65 @@ def graft(outer: MultilinearIdentity, var: int, inner: MultilinearIdentity) -> M
                 return (t[0], rec(t[1], it), rec(t[2], it))
 
             key = (rec(tree, iter(labels)), tuple(out_labels))
-            acc[key] = acc.get(key, Fraction(0)) + p * q
-    return MultilinearIdentity(outer.arity + shift, acc)
+            acc[key] = acc[key] + p * q if key in acc else p * q
+    return _trusted(outer.arity + shift, acc)
 
 
-def consequence_generators(relation: MultilinearIdentity, op: str) -> list[MultilinearIdentity]:
-    """Spanning set of the consequences of `relation` one arity up under a
-    new binary node tagged `op`: the node grafted into each slot of the
-    relation and the relation grafted into either slot of the node, each
-    closed under relabeling of all slots."""
+def _relabeling_basis(relations: list[MultilinearIdentity]) -> list[MultilinearIdentity]:
+    """A basis of the span of every relabeling of the relations, reduced over
+    the monomials they use, so trees with any operations are accepted."""
+    n = relations[0].arity
+    closure = [apply_perm(r, p) for r in relations for p in all_perms(n)]
+    index: dict[tuple, int] = {}
+    rows = [{index.setdefault(k, len(index)): q for k, q in e.coeffs.items()} for e in closure]
+    keys = list(index)
+    return [_trusted(n, {keys[j]: q for j, q in row.items()}) for row in sparse_rref(rows, len(keys))]
+
+
+def _coset_representatives(n: int, slots: tuple[int, ...]) -> list[Perm]:
+    """The lex-first permutation of degree n for each tuple of images of
+    `slots`: one per coset of the permutations fixing those slots."""
+    reps: dict[tuple, Perm] = {}
+    for p in all_perms(n):
+        reps.setdefault(tuple(p.images[i - 1] for i in slots), p)
+    return list(reps.values())
+
+
+def consequence_generators(relations, op: str) -> list[MultilinearIdentity]:
+    """Spanning set of the consequences one arity up of arity-n relations
+    (one identity or a sequence) under a new binary node nu = op(x1, x2):
+    every relabeling of a relation with nu grafted into one of its slots, or
+    grafted into either slot of nu.
+
+    The relations are first closed under relabeling and reduced to a basis.
+    Their span R is then S_n-stable, so the rows for each basis vector r are
+      r o_1 nu relabeled by one permutation per value of (s(1), s(2)),
+      nu o_1 r relabeled by one permutation per value of s(n+1),
+      nu o_2 r relabeled by one permutation per value of s(1):
+    a relabeling that fixes those values is a relabeling of r, which stays
+    in R, and r o_i nu for i > 1 is a relabeling of (t.r) o_1 nu for some t.
+    That is (n+1)(n+2) rows per basis vector instead of (n+2)(n+1)! (20
+    instead of 120 at n = 3), the coset argument behind the shuffle
+    compositions of Dotsenko-Khoroshkin, "Groebner bases for operads", Duke
+    Math. J. 153 (2010)."""
+    if isinstance(relations, MultilinearIdentity):
+        relations = [relations]
+    relations = list(relations)
+    if not relations:
+        return []
+    n = relations[0].arity
+    if any(r.arity != n for r in relations):
+        raise ValueError("arity mismatch")
     node = monomial((op, LEAF, LEAF), (1, 2))
-    raw = [graft(relation, var, node) for var in range(1, relation.arity + 1)]
-    raw += [graft(node, side, relation) for side in (1, 2)]
-    return [apply_perm(e, p) for e in raw for p in all_perms(relation.arity + 1)]
+    slot1 = _coset_representatives(n + 1, (1, 2))
+    left = _coset_representatives(n + 1, (n + 1,))
+    right = _coset_representatives(n + 1, (1,))
+    return [
+        apply_perm(e, p)
+        for r in _relabeling_basis(relations)
+        for e, perms in ((graft(r, 1, node), slot1), (graft(node, 1, r), left), (graft(node, 2, r), right))
+        for p in perms
+    ]
 
 
 def associator() -> MultilinearIdentity:

@@ -277,20 +277,32 @@ def pivot_columns(reduced: Matrix, rk: int) -> list[int]:
     return pivots
 
 
+def sparse_kernel(reduced: list[dict[int, Fraction]], cols: int) -> list[Vector]:
+    """Basis of the null space of sparse RREF rows as returned by
+    `sparse_rref`, over `cols` columns: for each non-pivot column f in
+    order, the vector with 1 at f and minus entry f of each row at that
+    row's pivot column."""
+    leads = [next(iter(row)) for row in reduced]
+    pivot_set = set(leads)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for lead, row in zip(leads, reduced):
+            x = row.get(f)
+            if x:
+                v[lead] = -x
+        basis.append(tuple(v))
+    return basis
+
+
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Basis of the right null space {x : m x = 0}; count = cols - rank."""
     rk, red = rref(m)
-    pivots = pivot_columns(red, rk)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r, f]
-        basis.append(tuple(v))
-    return basis
+    rows = [{j: x for j, x in enumerate(red.row(r)) if x} for r in range(rk)]
+    return sparse_kernel(rows, m.cols)
 
 
 def row_space_basis(m: Matrix) -> list[Vector]:

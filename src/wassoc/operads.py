@@ -31,8 +31,8 @@ from .linalg import (
     dense_row,
     in_span,
     kernel_basis,
-    rank,
     row_space_basis,
+    sparse_kernel,
     sparse_rref,
 )
 from .symgroup import Perm, all_perms, sigma_basis
@@ -99,7 +99,8 @@ def full_free_space(arity: int = 3) -> RelationSpace:
 def consequences(r: RelationSpace) -> RelationSpace:
     """Arity-4 span generated by an arity-3 relation space: a product grafted
     into each slot and each relation grafted into either slot of a product,
-    closed under relabeling of the four slots."""
+    closed under relabeling of the four slots.  The whole basis goes to
+    `consequence_generators` in one call (20 rows per basis vector)."""
     if r.arity != 3:
         raise ValueError("expected an arity-3 relation space")
     order = monomial_order(3)
@@ -107,7 +108,7 @@ def consequences(r: RelationSpace) -> RelationSpace:
         MultilinearIdentity(3, {key: q for key, q in zip(order, vec) if q})
         for vec in r.basis
     ]
-    return span_of([c for g in gens3 for c in consequence_generators(g, "m")], 4)
+    return span_of(consequence_generators(gens3, "m"), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +226,8 @@ def wass_dual_arity4() -> DualArity4:
     24-dimensional word space, kernel of dimension 8.  (The published rank 18
     and dimension 6 are refuted by this computation.)"""
     m = Matrix.from_rows(dual_arity4_generators())
-    rk = rank(m)
-    return DualArity4(relation_matrix=m, rank=rk, kernel=kernel_basis(m))
+    reduced = sparse_rref(({j: x for j, x in enumerate(row) if x} for row in m.entries), m.cols)
+    return DualArity4(relation_matrix=m, rank=len(reduced), kernel=sparse_kernel(reduced, m.cols))
 
 
 def wass_dual_arity4_dim() -> int:

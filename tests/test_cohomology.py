@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from test_identities import reference_consequence_generators
 from test_linalg import reference_rref
 
 from wassoc import cohomology, linalg
@@ -39,7 +40,7 @@ from wassoc.corpus import (
     two_dim_family,
 )
 from wassoc.finalg import FinAlg, MultiMap, evaluate, product_map
-from wassoc.identities import associator, consequence_generators, wa_expression
+from wassoc.identities import associator, wa_expression
 from wassoc.linalg import Matrix, in_span, kernel_basis, pivot_columns, vector
 
 
@@ -342,8 +343,8 @@ def test_delta3_system_shape(delta3_system):
 
 def reference_delta3_reduction() -> tuple[int, Matrix]:
     """The dense reduction that `build_delta3_system` replaced, on the dense
-    reference elimination: the 120 ansatz columns and the consequence rows
-    as `Fraction` matrices, each column reduced modulo the RREF of the
+    reference elimination: the 120 ansatz columns and the naive consequence
+    rows (`reference_consequence_generators`) as `Fraction` matrices, each column reduced modulo the RREF of the
     consequences, and the rows at non-pivot coordinates kept.  Returns the
     consequence rank and the reduced matrix."""
     basis = cohomology._free_basis4()
@@ -356,7 +357,7 @@ def reference_delta3_reduction() -> tuple[int, Matrix]:
             col[index[key]] += c
         cols.append(col)
     conseq = []
-    for gen in consequence_generators(wa_expression(), "f"):
+    for gen in reference_consequence_generators(wa_expression(), "f"):
         row = [0] * nrows
         for key, c in gen.coeffs.items():
             row[index[key]] += c

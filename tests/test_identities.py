@@ -1,7 +1,9 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
+from wassoc import operads
 from wassoc.corpus import random_group_element, truncated_polynomials, two_dim_family
 from wassoc.finalg import FinAlg, evaluate, is_associative
 from wassoc.identities import (
@@ -12,6 +14,7 @@ from wassoc.identities import (
     apply_group_vector,
     apply_perm,
     associator,
+    consequence_generators,
     flexibility_expression,
     graft,
     leibniz_expression,
@@ -24,7 +27,7 @@ from wassoc.identities import (
     wa_expression,
     zero_identity,
 )
-from wassoc.linalg import dense_row
+from wassoc.linalg import dense_row, sparse_rref
 from wassoc.symgroup import (
     C3,
     ID3,
@@ -259,3 +262,208 @@ def test_monomial_order_is_shared_and_canonical():
     basis = associator().monomial_basis()
     basis.clear()
     assert associator().monomial_basis() == list(monomial_order(3))
+
+
+# ---------------------------------------------------------------------------
+# Consequence spans from coset representatives.
+# ---------------------------------------------------------------------------
+
+def reference_consequence_generators(relation, op: str) -> list[MultilinearIdentity]:
+    """The naive spanning set that `consequence_generators` replaced: the
+    node grafted into each slot of the relation and the relation grafted
+    into either slot of the node, each relabeled by every permutation."""
+    node = monomial((op, LEAF, LEAF), (1, 2))
+    raw = [graft(relation, var, node) for var in range(1, relation.arity + 1)]
+    raw += [graft(node, side, relation) for side in (1, 2)]
+    return [apply_perm(e, p) for e in raw for p in all_perms(relation.arity + 1)]
+
+
+def reduced_spans(*families):
+    """The sparse RREF of each family of identities over one shared index
+    of the monomials they use, so trees with any operations compare."""
+    index = {}
+    for family in families:
+        for e in family:
+            for key in e.coeffs:
+                index.setdefault(key, len(index))
+    return [
+        sparse_rref([{index[k]: q for k, q in e.coeffs.items()} for e in family], len(index))
+        for family in families
+    ]
+
+
+def basis_identities(space) -> list[MultilinearIdentity]:
+    order = monomial_order(space.arity)
+    return [MultilinearIdentity(space.arity, {k: q for k, q in zip(order, v) if q}) for v in space.basis]
+
+
+def assert_same_consequences(relations, op: str) -> list[MultilinearIdentity]:
+    got = consequence_generators(relations, op)
+    expected = [c for r in relations for c in reference_consequence_generators(r, op)]
+    new, old = reduced_spans(got, expected)
+    assert new == old
+    return got
+
+
+@pytest.mark.parametrize(
+    "space, rows, dim",
+    [
+        (operads.wa_relation_space, 80, 72),
+        (operads.associativity_relation_space, 120, 96),
+        (operads.full_free_space, 240, 120),
+        (lambda: operads.annihilator(operads.wa_relation_space()), 160, 112),
+    ],
+    ids=["wa", "associativity", "full", "annihilator"],
+)
+def test_consequence_generators_match_reference(space, rows, dim):
+    basis = basis_identities(space())
+    got = assert_same_consequences(basis, "m")
+    assert len(got) == 20 * len(basis) == rows
+    assert len(reduced_spans(got)[0]) == dim
+    # one relation, or its basis, gives the same span as the whole basis
+    assert reduced_spans(consequence_generators(basis[0], "m")) == reduced_spans(
+        consequence_generators(basis[:1], "m")
+    )
+
+
+def test_consequence_generators_f_span_is_a_basis():
+    wa = wa_expression()
+    got = assert_same_consequences([wa], "f")
+    assert len(got) == 80
+    assert len(reduced_spans(got)[0]) == 80
+    assert consequence_generators(wa, "f") == got
+    assert all("f" in node_ops(shape) for e in got for shape, _ in e.coeffs)
+
+
+def random_relations(rng, arity: int, ops: tuple[str, ...]) -> list[MultilinearIdentity]:
+    """One to three seeded identities over a few random monomials: spans
+    that are in general not stable under relabeling."""
+    keys = [(shape, p.images) for shape in shapes(arity, ops) for p in all_perms(arity)]
+    return [
+        MultilinearIdentity(
+            arity,
+            {k: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for k in rng.sample(keys, rng.randint(1, min(4, len(keys))))},
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+@pytest.mark.parametrize("arity, ops", [(3, ("m",)), (2, ("m",)), (2, ("m", "f"))])
+def test_consequence_generators_on_non_stable_spaces(rng, arity, ops):
+    stable = 0
+    for trial in range(6):
+        relations = random_relations(rng, arity, ops)
+        closure = [apply_perm(r, p) for r in relations for p in all_perms(arity)]
+        stable += len(reduced_spans(relations)[0]) == len(reduced_spans(closure)[0])
+        for op in ops:
+            got = assert_same_consequences(relations, op)
+            assert len(got) == (arity + 1) * (arity + 2) * len(reduced_spans(closure)[0])
+    assert stable < 6
+
+
+def test_consequence_generators_edge_cases():
+    assert consequence_generators([], "m") == []
+    assert consequence_generators([zero_identity(3)], "m") == []
+    with pytest.raises(ValueError):
+        consequence_generators([associator(), monomial(("m", LEAF, LEAF), (1, 2))], "m")
+
+
+# ---------------------------------------------------------------------------
+# Trusted results and printing.
+# ---------------------------------------------------------------------------
+
+def assert_trusted(e: MultilinearIdentity):
+    """No zero and only `Fraction` coefficients, and the validating
+    constructor (which checks every monomial) rebuilds the same identity."""
+    assert all(type(q) is Fraction and q != 0 for q in e.coeffs.values())
+    assert MultilinearIdentity(e.arity, dict(e.coeffs)) == e
+
+
+def reference_apply_perm(e, s):
+    acc = {}
+    for (shape, labels), q in e.coeffs.items():
+        key = (shape, tuple(s(l) for l in labels))
+        acc[key] = acc.get(key, 0) + q
+    return MultilinearIdentity(e.arity, acc)
+
+
+def reference_sum(terms, arity):
+    acc = {}
+    for q, e in terms:
+        for k, c in e.coeffs.items():
+            acc[k] = acc.get(k, 0) + q * c
+    return MultilinearIdentity(arity, acc)
+
+
+def test_trusted_results_match_validating_constructor(rng):
+    es = identities_under_test(rng)
+    f = monomial(("f", LEAF, LEAF), (2, 1), Fraction(-1, 2))
+    es += [graft(wa_expression(), 2, f), graft(f, 1, associator())]
+    before = [copy.deepcopy(e.coeffs) for e in es]
+    node = monomial(("m", LEAF, LEAF), (2, 1), 3)
+    for e in es:
+        perms = all_perms(e.arity) if e.arity > 1 else ()
+        cases = [
+            (e.scale(Fraction(-2, 3)), reference_sum([(Fraction(-2, 3), e)], e.arity)),
+            (e.scale(0), zero_identity(e.arity)),
+            (e - e, zero_identity(e.arity)),
+            (e + e.scale(-1) + e, e),
+        ]
+        for s in rng.sample(perms, min(3, len(perms))):
+            cases.append((apply_perm(e, s), reference_apply_perm(e, s)))
+            cases.append((e - apply_perm(e, s), reference_sum([(1, e), (-1, reference_apply_perm(e, s))], e.arity)))
+        if e.arity == 3:
+            v = random_group_element(3, rng, 3)
+            expected = reference_sum([(q, reference_apply_perm(e, p)) for p, q in v.coeffs.items()], 3)
+            cases.append((apply_group_vector(e, v), expected))
+        for got, expected in cases:
+            assert_trusted(got)
+            assert got == expected
+        # grafting one monomial is injective on monomials
+        grafts = [graft(e, var, node) for var in range(1, e.arity + 1)] + [graft(node, 2, e)]
+        for got in grafts:
+            assert_trusted(got)
+            assert got.term_count() == e.term_count()
+    assert [e.coeffs for e in es] == before
+
+
+def reference_str(e: MultilinearIdentity) -> str:
+    """The printer that `__str__` replaced: terms sorted by their position
+    in `monomial_order`, other trees last."""
+    if not e.coeffs:
+        return "0"
+    index = {key: i for i, key in enumerate(monomial_order(e.arity))}
+    parts = []
+    for key in sorted(e.coeffs, key=lambda k: index.get(k, len(index))):
+        q = e.coeffs[key]
+        mag = abs(q)
+        mono = shape_str(*key)
+        parts.append(("-" if q < 0 else "+", mono if mag == 1 else f"{mag}*{mono}"))
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(f" {sign} {term}" for sign, term in parts[1:])
+
+
+def test_printing_matches_reference_at_arity_3_and_4(rng):
+    f = monomial(("f", LEAF, LEAF), (1, 2))
+    mixed = graft(wa_expression(), 3, f) + monomial(shapes(4)[2], (4, 3, 2, 1), 2)
+    es = identities_under_test(rng) + consequence_generators(wa_expression(), "f")[:20]
+    two = monomial(("f", LEAF, LEAF), (2, 1)) - monomial(("m", LEAF, LEAF), (2, 1))
+    es += [mixed, apply_perm(mixed, all_perms(4)[7]), two + monomial(("m", LEAF, LEAF), (1, 2), 3)]
+    for e in es:
+        assert str(e) == reference_str(e)
+
+
+def test_printing_arity_5_and_7():
+    assert str(monomial(shapes(5)[0], range(1, 6))) == "(((x1x2)x3)x4)x5"
+    e = (
+        monomial(shapes(5)[1], (1, 2, 3, 4, 5))
+        - monomial(shapes(5)[0], (2, 1, 3, 4, 5), Fraction(1, 2))
+        + monomial(shapes(5)[0], (1, 2, 3, 5, 4))
+    )
+    assert str(e) == "(((x1x2)x3)x5)x4 - 1/2*(((x2x1)x3)x4)x5 + ((x1(x2x3))x4)x5"
+    seven = monomial(shapes(7)[-1], (7, 6, 5, 4, 3, 2, 1), -1)
+    assert str(seven) == "-x7(x6(x5(x4(x3(x2x1)))))"
+    f = monomial(("f", LEAF, LEAF), (1, 2))
+    assert str(graft(seven, 7, f) + monomial(shapes(8)[0], range(1, 9))) == (
+        "((((((x1x2)x3)x4)x5)x6)x7)x8 - f(x7,x8)(x6(x5(x4(x3(x2x1)))))"
+    )

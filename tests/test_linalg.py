@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wassoc import cohomology, linalg, operads
+from wassoc import cohomology, identities, linalg, operads
 from wassoc.cohomology import build_delta3_system
 from wassoc.homology import ChainComplex
 from wassoc.linalg import (
@@ -16,6 +16,7 @@ from wassoc.linalg import (
     row_space_basis,
     rref,
     same_span,
+    sparse_kernel,
     sparse_rank,
     sparse_reduce,
     sparse_rref,
@@ -84,7 +85,7 @@ def rref_inputs(monkeypatch, build) -> list[Matrix]:
         return sparse_rref(rows, cols)
 
     with monkeypatch.context() as patched:
-        for module in (linalg, operads, cohomology):
+        for module in (linalg, identities, operads, cohomology):
             patched.setattr(module, "sparse_rref", recording)
         build()
     return seen
@@ -247,15 +248,18 @@ def test_ragged_rows_rejected():
 def test_rref_matches_reference_on_wa_consequences(monkeypatch):
     (m,) = [
         m for m in rref_inputs(monkeypatch, lambda: consequences(wa_relation_space()))
-        if (m.rows, m.cols) == (480, 120)
+        if (m.rows, m.cols) == (80, 120)
     ]
     assert_agrees_with_reference(m, monkeypatch)
 
 
 def test_rref_matches_reference_on_delta3_system(monkeypatch, delta3_system):
-    conseq, reduced = rref_inputs(monkeypatch, build_delta3_system)
-    assert conseq.cols == 360 and rank(conseq) == delta3_system.consequence_dim
+    closure, conseq, reduced = rref_inputs(monkeypatch, build_delta3_system)
+    assert (closure.rows, rank(closure)) == (6, 4)
+    assert (conseq.rows, conseq.cols) == (80, 360)
+    assert rank(conseq) == delta3_system.consequence_dim
     assert reduced == delta3_system.reduced_matrix
+    assert_agrees_with_reference(closure, monkeypatch)
     assert_agrees_with_reference(conseq, monkeypatch)
     assert_agrees_with_reference(reduced, monkeypatch)
 
@@ -418,3 +422,37 @@ def test_strings_are_not_rationals():
             parse()
     with pytest.raises(TypeError):
         Matrix.from_rows([["1/2", " 3"], [0, "1_0"]])
+
+
+def reference_kernel_basis(m: Matrix) -> list:
+    """The dense null-space read-off that `sparse_kernel` replaced, on the
+    reference RREF."""
+    rk, red = reference_rref(m)
+    pivots = pivot_columns(red, rk)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r, f]
+        basis.append(tuple(v))
+    return basis
+
+
+def test_sparse_kernel_matches_dense_reference(rng, delta3_system):
+    cases = [delta3_system.reduced_matrix, operads.wass_dual_arity4().relation_matrix, Matrix.zero(2, 3)]
+    for _ in range(30):
+        cols = rng.randint(1, 7)
+        cases.append(Matrix.from_rows(
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else 0 for _ in range(cols)]
+             for _ in range(rng.randint(1, 6))]
+        ))
+    for m in cases:
+        expected = reference_kernel_basis(m)
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+        assert sparse_kernel(sparse_rref(sparse, m.cols), m.cols) == expected
+        assert kernel_basis(m) == expected
+        assert all(type(x) is Fraction for v in expected for x in v)
+    assert delta3_system.kernel == reference_kernel_basis(delta3_system.reduced_matrix)
+    d4 = operads.wass_dual_arity4()
+    assert (d4.rank, d4.kernel) == (16, reference_kernel_basis(d4.relation_matrix))
