@@ -21,6 +21,8 @@ from .finalg import (
     AlgebraFormatError,
     FinAlg,
     MultiMap,
+    _json_list,
+    _json_object,
     algebra_from_json,
     algebra_to_json,
     compose,
@@ -348,11 +350,13 @@ def deformation_from_json(doc) -> TruncatedDeformation:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise AlgebraFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "base" not in doc:
-        raise AlgebraFormatError("deformation document must carry a base algebra")
+    if not isinstance(doc, dict) or not isinstance(doc.get("base"), dict):
+        raise AlgebraFormatError("deformation document must carry a base algebra object")
+    _json_object(doc, ("base", "terms"), "deformation document")
     base = algebra_from_json(doc["base"])
     terms = [
-        multimap_from_json(t, base.dim, arity=2) for t in doc.get("terms", [])
+        multimap_from_json(t, base.dim, arity=2)
+        for t in _json_list(doc.get("terms", []), "'terms'")
     ]
     return TruncatedDeformation(base, terms)
 

@@ -6,11 +6,16 @@ dense table.  A MultiMap is a k-linear map stored sparsely: only input tuples
 with a nonzero output, and only the nonzero output coordinates, with integral
 coefficients kept as ints and the rest as Fractions.  `contract` (a signed sum
 of partial compositions, each one map substituted into one input slot of
-another, added into one accumulator) is the one contraction routine, and
-`compose` is its one-term case.  Identity evaluation, the derivation, Jacobi,
-Jordan and Leibniz defects, and the coboundary and deformation code of the
-`cohomology` and `deform` modules are built from it; terms that also permute
-their inputs (`permute_inputs`) are summed by `linear_combination`.
+another) is the one contraction routine, and `compose` is its one-term case.
+Identity evaluation, the derivation, Jacobi, Jordan and Leibniz defects, and
+the coboundary and deformation code of the `cohomology` and `deform` modules
+are built from it; terms that also permute their inputs (`permute_inputs`)
+are summed by `linear_combination`.
+
+`contract` adds whole rows as packed integers (Kronecker substitution): one
+slot width per call, from a bound B on the output coefficients cleared of
+denominators, so adding a scaled row is one big-integer multiply-add and each
+output row is decoded once.
 
 Inputs are validated once, by the public `MultiMap` constructor.  The results
 of `contract`, `linear_combination` and `permute_inputs` are built from maps
@@ -22,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from fractions import Fraction
 
 from .identities import (
@@ -37,9 +44,11 @@ from .linalg import Matrix, as_rational
 
 class FinAlg:
     """Structure constants c[i][j] = coordinate tuple of e_i * e_j; entries
-    must be ints or Fractions (bools, floats and strings are rejected)."""
+    must be ints or Fractions (bools, floats and strings are rejected).
+    The table is read-only; `product_map` builds the product as a bilinear
+    map once and keeps it in `_mu`."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "_mu")
 
     def __init__(self, dim: int, c):
         self.dim = dim
@@ -362,6 +371,36 @@ def linear_combination(arity: int, dim: int, terms) -> MultiMap:
     return _trusted(arity, dim, coeffs)
 
 
+def _scan(m: MultiMap) -> tuple:
+    """(D, T, w) of a nonzero map: D the lcm of its denominators, T the
+    largest |D x| over its coefficients x and w its widest row."""
+    rows = m.coeffs.values()
+    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    den = math.lcm(*set(map(operator.attrgetter("denominator"), values)))
+    return den, int(max(map(abs, values)) * den), max(map(len, rows))
+
+
+def _unpack(v: int, width: int, den: int) -> dict:
+    """The row {k: d_k / den} of v = sum d_k 2^(k width), each digit
+    balanced (|d_k| < 2^(width - 1)); zero slots are jumped over through
+    the lowest set bit."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    row = {}
+    k = 0
+    while v:
+        skip = ((v & -v).bit_length() - 1) // width
+        v >>= skip * width
+        k += skip
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        v = (v - d) >> width
+        row[k] = d if den == 1 else d // den if d % den == 0 else Fraction(d, den)
+        k += 1
+    return row
+
+
 def contract(arity: int, dim: int, terms) -> MultiMap:
     """sum of q * (outer o_slot inner) over the (q, outer, slot, inner) terms
     of `terms`, each a partial composition: `inner` substituted into input
@@ -375,16 +414,25 @@ def contract(arity: int, dim: int, terms) -> MultiMap:
     `endo_to_map`) precomposed into a slot (inner) or applied to the output
     (outer, slot 0), the product applied on either side of the output
     (`compose(product_map(alg), 1, m)` is x_1 m(x_2 ..)), and the signed sums
-    of such terms that make up coboundaries, defects and gauge series.  All
-    terms add into one accumulator keyed by the output input tuple, and each
-    output row gets the one cleaning pass, `_normalized`, at the end.  Work is
-    proportional to the nonzero coefficients that actually meet: the outer
-    rows of a term are grouped by their coordinate in `slot`, keyed
-    `(pre, post)`, and each inner row looks up the accumulator row of each
-    `(pre, post)` once, so each output key is built once per inner row.
-    Each q must be an int or a Fraction; the operands are trusted (validated
-    when built), and so is the result."""
-    acc: dict = {}
+    of such terms that make up coboundaries, defects and gauge series.
+
+    Rows are added packed (Kronecker substitution).  With D the lcm of a
+    map's denominators and L the common denominator of the term scalars
+    q / (D_outer D_inner), each scalar becomes the integer
+    s = q L / (D_outer D_inner), and L times an output coefficient is an
+    integer of absolute value at most B = sum over terms of
+    |s| max|D_outer x| max|D_inner x| (widest inner row).  In slots of width
+    W = B.bit_length() + 1 each is a balanced digit, so an outer row packs,
+    once per (outer, slot), into sum_k D_outer x_k 2^(k W), and a scaled row
+    adds with one big-integer multiply-add.  Outer rows are grouped by their
+    coordinate in `slot`, and each distinct (pre, post) of their other
+    inputs has a small int position: an inner row sums its scaled packed
+    rows per position, then adds each sum to the accumulator entry of the
+    output key pre + inner input + post.  Each output row is decoded once,
+    at the end.  Each q must be an int or a Fraction; the operands are
+    trusted (validated when built), and so is the result."""
+    live = []
+    stats: dict = {}
     for q, outer, slot, inner in terms:
         if outer.dim != dim or inner.dim != dim:
             raise ValueError("dimension mismatch")
@@ -393,33 +441,50 @@ def contract(arity: int, dim: int, terms) -> MultiMap:
         if not 0 <= slot < outer.arity:
             raise ValueError(f"slot {slot} outside 0..{outer.arity - 1}")
         q = _exact(q)
-        if not (q and outer.coeffs and inner.coeffs):
-            continue
-        by_coord: dict = {}
-        for idx, row in outer.coeffs.items():
-            by_coord.setdefault(idx[slot], []).append(((idx[:slot], idx[slot + 1 :]), row))
+        if q and outer.coeffs and inner.coeffs:
+            for m in (outer, inner):
+                if id(m) not in stats:
+                    stats[id(m)] = _scan(m)
+            d_outer, top_outer, _ = stats[id(outer)]
+            d_inner, top_inner, wide = stats[id(inner)]
+            f = q if d_outer == d_inner == 1 else Fraction(q, d_outer * d_inner)
+            live.append((f, outer, slot, inner, top_outer * top_inner * wide))
+    den = math.lcm(*(f.denominator for f, *_ in live))
+    scalars = [f.numerator * (den // f.denominator) for f, *_ in live]
+    bound = sum(abs(s) * reach for s, (*_, reach) in zip(scalars, live))
+    width = bound.bit_length() + 1
+    packed_groups: dict = {}
+    acc: dict = {}
+    for s, (_, outer, slot, inner, _) in zip(scalars, live):
+        group = packed_groups.get((id(outer), slot))
+        if group is None:
+            d_outer = stats[id(outer)][0]
+            by_coord: dict = {}
+            positions: dict = {}
+            for idx, row in outer.coeffs.items():
+                packed = 0
+                for k, x in row.items():
+                    if d_outer != 1:
+                        x = x.numerator * (d_outer // x.denominator)
+                    packed += x << (k * width)
+                pos = positions.setdefault((idx[:slot], idx[slot + 1 :]), len(positions))
+                by_coord.setdefault(idx[slot], []).append((pos, packed))
+            group = packed_groups[(id(outer), slot)] = (by_coord, list(positions))
+        by_coord, pre_posts = group
+        d_inner = stats[id(inner)][0]
         for jdx, inner_row in inner.coeffs.items():
-            # (pre, post) -> the accumulator row of the key pre + jdx + post.
             local: dict = {}
             for a, c in inner_row.items():
-                if q != 1:
-                    c = q * c
-                for pre_post, row in by_coord.get(a, ()):
-                    out = local.get(pre_post)
-                    if out is None:
-                        key = pre_post[0] + jdx + pre_post[1]
-                        out = acc.get(key)
-                        if out is None:
-                            acc[key] = local[pre_post] = {k: c * x for k, x in row.items()}
-                            continue
-                        local[pre_post] = out
-                    for k, x in row.items():
-                        out[k] = out.get(k, 0) + c * x
-    coeffs = {}
-    for idx, row in acc.items():
-        row = _normalized(row)
-        if row:
-            coeffs[idx] = row
+                if d_inner != 1:
+                    c = c.numerator * (d_inner // c.denominator)
+                c *= s
+                for pos, packed in by_coord.get(a, ()):
+                    local[pos] = local.get(pos, 0) + c * packed
+            for pos, v in local.items():
+                pre, post = pre_posts[pos]
+                key = pre + jdx + post
+                acc[key] = acc.get(key, 0) + v
+    coeffs = {key: _unpack(v, width, den) for key, v in acc.items() if v}
     return _trusted(arity, dim, coeffs)
 
 
@@ -435,14 +500,18 @@ def identity_map(dim: int) -> MultiMap:
 
 
 def product_map(alg: FinAlg) -> MultiMap:
-    """The product as a bilinear map, read from the (validated) table."""
-    coeffs = {}
-    for i, plane in enumerate(alg.c):
-        for j, vec in enumerate(plane):
-            row = _normalized(dict(enumerate(vec)))
-            if row:
-                coeffs[(i, j)] = row
-    return _trusted(2, alg.dim, coeffs)
+    """The product as a bilinear map, read from the (validated) table on
+    the first call and the same read-only map on every later one."""
+    mu = getattr(alg, "_mu", None)
+    if mu is None:
+        coeffs = {}
+        for i, plane in enumerate(alg.c):
+            for j, vec in enumerate(plane):
+                row = _normalized(dict(enumerate(vec)))
+                if row:
+                    coeffs[(i, j)] = row
+        mu = alg._mu = _trusted(2, alg.dim, coeffs)
+    return mu
 
 
 def endo_to_map(alg_dim: int, m: Matrix) -> MultiMap:
@@ -677,7 +746,28 @@ def _format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _json_object(node, keys: tuple, what: str):
+    """Raise unless `node` is a JSON object whose keys are all in `keys`."""
+    if not isinstance(node, dict):
+        raise AlgebraFormatError(f"{what} must be an object, not {type(node).__name__}")
+    unknown = sorted(map(repr, set(node) - set(keys)))
+    if unknown:
+        raise AlgebraFormatError(f"unknown key(s) in {what}: {', '.join(unknown)}")
+
+
+def _json_list(node, what: str) -> list:
+    """`node` if it is a JSON array."""
+    if not isinstance(node, list):
+        raise AlgebraFormatError(f"{what} must be a list, not {type(node).__name__}")
+    return node
+
+
 def algebra_from_json(doc) -> FinAlg:
+    """The algebra of a document {"dim": n, "products": [{"i", "j", "out":
+    [{"k", "c"}, ..]}, ..]}.  Anything else is an AlgebraFormatError: a
+    missing or non-positive dim, a non-object or non-list where the format
+    has one, an unknown key, an index out of range, an inexact coefficient,
+    or a second entry for the same (i, j, k)."""
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
@@ -685,18 +775,25 @@ def algebra_from_json(doc) -> FinAlg:
             raise AlgebraFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc:
         raise AlgebraFormatError("algebra document must be an object with 'dim'")
+    _json_object(doc, ("dim", "products"), "algebra document")
     n = doc["dim"]
     if not _json_int(n) or n < 1:
         raise AlgebraFormatError(f"bad dimension {n!r}")
     c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for entry in doc.get("products", []):
+    seen = set()
+    for entry in _json_list(doc.get("products", []), "'products'"):
+        _json_object(entry, ("i", "j", "out"), "product entry")
         i, j = entry.get("i"), entry.get("j")
         if not (_json_int(i) and _json_int(j) and 1 <= i <= n and 1 <= j <= n):
             raise AlgebraFormatError(f"product indices out of range: i={i!r} j={j!r}")
-        for term in entry.get("out", []):
+        for term in _json_list(entry.get("out", []), "'out'"):
+            _json_object(term, ("k", "c"), "output term")
             k = term.get("k")
             if not (_json_int(k) and 1 <= k <= n):
                 raise AlgebraFormatError(f"output index out of range: k={k!r}")
+            if (i, j, k) in seen:
+                raise AlgebraFormatError(f"duplicate entry for e{i} e{j} -> e{k}")
+            seen.add((i, j, k))
             c[i - 1][j - 1][k - 1] = _parse_rational(term.get("c"))
     return FinAlg(n, c)
 

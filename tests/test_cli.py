@@ -228,3 +228,113 @@ def test_verify_homology_records_published_discrepancy(capsys):
     failed = [c for c in doc["checks"] if c["status"] == "fail"]
     assert [(c["id"], c["value"]) for c in failed] == [("homology.h1-degree6", 3)]
     assert doc["failures"] == 1
+
+
+# Malformed input documents: each must exit 2 with an `error:` line and no
+# traceback, through `check` (algebra documents) and `deform` (the algebra
+# as the base of a deformation, and malformed deformation documents).
+GOOD_ALGEBRA = {"dim": 2, "products": [{"i": 1, "j": 2, "out": [{"k": 2, "c": "3/1"}]}]}
+GOOD_TERM = [[["0/1", "1/1"], ["0/1", "0/1"]], [["1/2", "0/1"], ["0/1", "-1/1"]]]
+
+MALFORMED_ALGEBRAS = [
+    {"dim": 2, "products": [[0, 0, 0, 0.5]]},
+    {"dim": 2, "products": "x"},
+    {"dim": 2, "products": {"i": 1, "j": 1, "out": []}},
+    {"dim": 2, "products": None},
+    {"dim": 3, "nonzero": [1]},
+    {"dim": 2, "products": [{"i": 1, "j": 1, "out": "x"}]},
+    {"dim": 2, "products": [{"i": 1, "j": 1, "out": [[1, "1/1"]]}]},
+    {"dim": 2, "products": [{"i": 1, "j": 1, "extra": 0, "out": []}]},
+    {"dim": 2, "products": [{"i": 1, "j": 1, "out": [{"k": 1, "c": "1/1", "note": "x"}]}]},
+    {"dim": 2, "products": [{"i": 1, "j": 1, "out": [{"k": 1}]}]},
+    {"dim": 2, "products": [{"i": 1, "j": 1, "out": [{"k": 1, "c": 0.5}]}]},
+    {"dim": 2, "products": [
+        {"i": 1, "j": 1, "out": [{"k": 1, "c": "1/1"}, {"k": 1, "c": "2/1"}]},
+    ]},
+    {"dim": 2, "products": [
+        {"i": 2, "j": 1, "out": [{"k": 2, "c": "1/1"}]},
+        {"i": 2, "j": 1, "out": [{"k": 1, "c": "1/1"}, {"k": 2, "c": "1/1"}]},
+    ]},
+    {"dim": "2"},
+    {"dim": 0},
+    {"products": []},
+    [],
+    "x",
+    3,
+]
+
+MALFORMED_DEFORMATIONS = [
+    {"base": GOOD_ALGEBRA, "terms": "x"},
+    {"base": GOOD_ALGEBRA, "terms": 5},
+    {"base": GOOD_ALGEBRA, "terms": {}},
+    {"base": GOOD_ALGEBRA, "terms": [[["1/1"]]]},
+    {"base": GOOD_ALGEBRA, "terms": [GOOD_TERM, {"0": GOOD_TERM}]},
+    {"base": GOOD_ALGEBRA, "terms": [GOOD_TERM], "order": 1},
+    {"base": json.dumps(GOOD_ALGEBRA), "terms": []},
+    {"base": [GOOD_ALGEBRA], "terms": []},
+    {"terms": [GOOD_TERM]},
+] + [{"base": doc, "terms": []} for doc in MALFORMED_ALGEBRAS]
+
+# Wrong-typed values for each kind of node of a valid document.
+WRONG_VALUES = {
+    dict: [[], "x", 2, None, True],
+    list: [{"0": 1}, "x", 1.5, 7, None],
+    str: [0.5, [], {}, None, True],
+    int: ["1", 1.0, [], None, True],
+}
+
+
+def _nodes(doc, path=()):
+    """(path, node) for every node below the root of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _seeded_corruptions(doc, rng):
+    """One copy of `doc` per node, that node replaced by a value of a type
+    the format never has there, chosen by `rng`."""
+    out = []
+    for path, node in _nodes(doc):
+        bad = json.loads(json.dumps(doc))
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = rng.choice(WRONG_VALUES[type(node)])
+        out.append(bad)
+    return out
+
+
+def _assert_usage_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, (argv, captured)
+    assert captured.err.startswith("error: "), captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_malformed_documents_exit_2(tmp_path, capsys, rng):
+    path = tmp_path / "doc.json"
+    algebras = MALFORMED_ALGEBRAS + _seeded_corruptions(GOOD_ALGEBRA, rng)
+    deformations = MALFORMED_DEFORMATIONS + _seeded_corruptions(
+        {"base": GOOD_ALGEBRA, "terms": [GOOD_TERM]}, rng
+    )
+    assert len(algebras) > 25 and len(deformations) > 50
+    for doc in algebras:
+        path.write_text(json.dumps(doc))
+        for prop in ("weakly-associative", "commutative"):
+            _assert_usage_error(["check", "--algebra", str(path), "--property", prop], capsys)
+    for doc in deformations:
+        path.write_text(json.dumps(doc))
+        _assert_usage_error(["deform", "--file", str(path)], capsys)
+    for doc in (GOOD_ALGEBRA, {"base": GOOD_ALGEBRA, "terms": [GOOD_TERM]}):
+        path.write_text(json.dumps(doc))
+        argv = ["deform", "--file", str(path)] if "base" in doc else [
+            "check", "--algebra", str(path), "--property", "commutative"]
+        assert main(argv) in (0, 1)

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -560,6 +561,194 @@ def test_contract_rejects_shape_mismatch(rng):
         contract(3, 3, [(0.0, f, 0, g)])
 
 
+def assert_contract_matches_reference(arity: int, dim: int, terms) -> MultiMap:
+    got = contract(arity, dim, terms)
+    want = reference_linear_combination(
+        arity, dim, ((q, reference_compose(o, slot, i)) for q, o, slot, i in terms)
+    )
+    assert got.coeffs == want.coeffs
+    assert_normalized(got)
+    return got
+
+
+def test_contract_coefficients_and_denominators_above_2_64(rng):
+    dim = 3
+    big = 2**64
+
+    def huge_map(arity):
+        return MultiMap.from_function(arity, dim, lambda *idx: tuple(
+            Fraction(rng.randint(-(big**2), big**2), rng.randint(big, 4 * big))
+            if rng.random() < 0.5
+            else rng.choice((0, rng.randint(-(big**3), big**3)))
+            for _ in range(dim)
+        ))
+
+    for outer_arity, inner_arity in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        arity = outer_arity + inner_arity - 1
+        maps = [(huge_map(outer_arity), huge_map(inner_arity)) for _ in range(3)]
+        scalars = [Fraction(big + 1, 3**45), -(big**2) - 7, Fraction(-1, big * 5 + 3)]
+        terms = [
+            (q, outer, slot, inner)
+            for q, (outer, inner) in zip(scalars, maps)
+            for slot in range(outer_arity)
+        ]
+        got = assert_contract_matches_reference(arity, dim, terms)
+        assert any(
+            type(x) is Fraction and x.denominator > big
+            for row in got.coeffs.values()
+            for x in row.values()
+        )
+        negated = [(-q, o, slot, i) for q, o, slot, i in terms]
+        assert contract(arity, dim, terms + negated).is_zero()
+
+
+def test_contract_negative_last_coordinate_and_zero_interior_slots(rng):
+    """Rows whose only nonzero entry is a negative last coordinate (the sign
+    of the top digit of a packed row), and rows whose interior coordinates
+    are zero, so decoding must step over empty slots."""
+    dim = 5
+    last_only = MultiMap.from_function(
+        2, dim, lambda i, j: (0,) * (dim - 1) + (-rng.randint(1, 9),)
+    )
+    ends_only = MultiMap.from_function(
+        2, dim,
+        lambda i, j: (rng.randint(-9, 9),) + (0,) * (dim - 2) + (Fraction(-rng.randint(1, 9), 7),),
+    )
+    last_inner = MultiMap.from_function(1, dim, lambda i: (0,) * (dim - 1) + (-1,))
+    mixed = random_fraction_multimap(2, dim, rng)
+    for outer, inner in (
+        (last_only, last_inner),
+        (last_only, mixed),
+        (ends_only, last_inner),
+        (ends_only, mixed),
+        (mixed, last_only),
+        (mixed, ends_only),
+    ):
+        arity = outer.arity + inner.arity - 1
+        for slot in range(outer.arity):
+            got = assert_contract_matches_reference(arity, dim, [(1, outer, slot, inner)])
+            assert not got.is_zero()
+        assert_contract_matches_reference(
+            arity, dim, [(3, outer, 0, inner), (Fraction(-5, 2), outer, 1, inner)]
+        )
+    got = compose(last_only, 0, last_inner)
+    assert all(list(row) == [dim - 1] and row[dim - 1] > 0 for row in got.coeffs.values())
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_contract_digit_reaches_the_width_bound(sign):
+    """Constant full rows and scalars of one sign: every output coefficient,
+    cleared of the common denominator L, equals +-B, the bound the slot
+    width is sized from (B = sum |s| max|outer| max|inner| widest row)."""
+    dim = 3
+    outer = MultiMap.from_function(2, dim, lambda i, j: (Fraction(5, 2),) * dim)
+    inner = MultiMap.from_function(1, dim, lambda i: (7,) * dim)
+    terms = [(sign * Fraction(1, 3), outer, 0, inner), (sign * 2, outer, 1, inner)]
+    got = assert_contract_matches_reference(2, dim, terms)
+    # D_outer = 2, D_inner = 1, so L = 6 and the scalars are s = 1 and 6.
+    bound = (1 + 6) * 5 * 7 * dim
+    assert got.coeffs == {
+        (i, j): {k: sign * Fraction(bound, 6) for k in range(dim)}
+        for i in range(dim)
+        for j in range(dim)
+    }
+    # Bounds of 2^64 - 1 and 2^64: the largest digit is 2^(W - 1) - 1 in the
+    # first case and 2^(W - 2) in the second.
+    one = MultiMap(1, 1, {(0,): (1,)})
+    for q in (2**64 - 1, 2**64):
+        got = assert_contract_matches_reference(1, 1, [(sign * q, one, 0, one)])
+        assert got.coeffs == {(0,): {0: sign * q}}
+
+
+def test_contract_in_dimension_one(rng):
+    def one_entry(arity):
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        return MultiMap(arity, 1, {(0,) * arity: (q,)})
+
+    for arity in range(1, 6):
+        terms = [
+            (Fraction(rng.randint(-4, 4), rng.randint(1, 5)), one_entry(outer_arity), slot,
+             one_entry(arity + 1 - outer_arity))
+            for outer_arity in range(1, arity + 1)
+            for slot in range(outer_arity)
+        ]
+        terms.append((1, MultiMap.zero(1, 1), 0, one_entry(arity)))
+        negated = [(-q, o, slot, i) for q, o, slot, i in terms]
+        assert_contract_matches_reference(arity, 1, terms)
+        assert_contract_matches_reference(arity, 1, terms + negated[::2])
+        assert contract(arity, 1, terms + negated).is_zero()
+
+
+def _int_matrix(rng, n, bound):
+    cells = rng.sample(range(n * n), (2 * n * n) // 3)
+    flat = [0] * (n * n)
+    for c in cells:
+        flat[c] = rng.choice([q for q in range(-bound, bound + 1) if q])
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _plane_deformations(seed: int, degrees=(2, 3)):
+    """The gauged plane deformations of the benchmark's `algebras`
+    workload: mu + t {,} on K[x, y]/m^(D+1), basis x^a y^(d-a) by degree d
+    and decreasing a, with {u, v} = scale * x^w (u_x v_y - u_y v_x), gauged
+    by three {-1, 0, 1} matrices two thirds nonzero; weight, scale and
+    matrices are drawn from random.Random(seed) in the workload's order,
+    one endomorphism draw following each degree."""
+    from wassoc.deform import GaugeTransform, TruncatedDeformation, gauge
+
+    rng = random.Random(seed)
+    out = []
+    for maxdeg in degrees:
+        weight = rng.choice(((1, 0), (0, 1)))
+        scale = rng.choice((-2, -1, 1, 2))
+        monos = [(a, d - a) for d in range(maxdeg + 1) for a in range(d, -1, -1)]
+        index = {m: i for i, m in enumerate(monos)}
+        n = len(monos)
+        mu = [[[0] * n for _ in range(n)] for _ in range(n)]
+        br: dict = {}
+        for i, a in enumerate(monos):
+            for j, b in enumerate(monos):
+                prod = (a[0] + b[0], a[1] + b[1])
+                if sum(prod) <= maxdeg:
+                    mu[i][j][index[prod]] = 1
+                row = br.setdefault((i, j), {})
+                for sign, da, db in ((1, 0, 1), (-1, 1, 0)):
+                    mono = [weight[0] + a[0] + b[0], weight[1] + a[1] + b[1]]
+                    mono[da] -= 1
+                    mono[db] -= 1
+                    if a[da] and b[db] and sum(mono) <= maxdeg:
+                        k = index[tuple(mono)]
+                        row[k] = row.get(k, 0) + sign * scale * a[da] * b[db]
+        zero = MultiMap.zero(2, n)
+        deformation = TruncatedDeformation(FinAlg(n, mu), [MultiMap(2, n, br), zero, zero])
+        g = GaugeTransform([Matrix.from_rows(_int_matrix(rng, n, 1)) for _ in range(3)])
+        _int_matrix(rng, n, 2)
+        out.append(gauge(deformation, g))
+    return out
+
+
+def test_contract_on_gauged_plane_deformations():
+    """The weak associativity defects of the benchmark's gauged dim-6 and
+    dim-10 deformations (seed 1), whose phi_1..phi_3 are dense."""
+    from wassoc.cohomology import wa_symmetrize3
+
+    dims = []
+    for deformation in _plane_deformations(1):
+        n = deformation.base.dim
+        dims.append(n)
+        phi = [deformation.coefficient(i) for i in range(4)]
+        assert len(phi[3].coeffs) > n * n // 2
+        for k in range(1, 4):
+            terms = [
+                (sign, phi[i], slot, phi[k - i])
+                for i in range(k + 1)
+                for sign, slot in ((1, 1), (-1, 0))
+            ]
+            got = assert_contract_matches_reference(3, n, terms)
+            assert wa_symmetrize3(got).is_zero()
+    assert dims == [6, 10]
+
+
 def test_product_map_matches_validating_constructor(wa_members, non_wa_members):
     halves = FinAlg(2, [
         [[Fraction(4, 2), Fraction(1, 2)], [0, Fraction(0, 3)]],
@@ -573,6 +762,16 @@ def test_product_map_matches_validating_constructor(wa_members, non_wa_members):
     assert product_map(halves).coeffs == {
         (0, 0): {0: 2, 1: Fraction(1, 2)}, (1, 0): {0: -2, 1: 1}, (1, 1): {0: Fraction(1, 2)}
     }
+
+
+def test_product_map_is_built_once_per_algebra(wa_members):
+    for _, alg in wa_members:
+        mu = product_map(alg)
+        assert product_map(alg) is mu
+        want = MultiMap.from_function(2, alg.dim, lambda i, j: alg.product(i, j))
+        assert mu.coeffs == want.coeffs
+    fresh = FinAlg(2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    assert product_map(fresh) is not product_map(FinAlg(2, fresh.c))
 
 
 @pytest.mark.parametrize("q", [0.0, False, True, 0.5, "1"], ids=["zero-float", "false", "true", "float", "string"])
