@@ -93,13 +93,7 @@ def cmd_check(args) -> int:
         defect = evaluate(alg, expression())
         witness = defect.first_nonzero()
     elif args.property == "commutative":
-        n = alg.dim
-        witness = next(
-            ((i, j), tuple(a - b for a, b in zip(alg.c[i][j], alg.c[j][i])))
-            for i in range(n)
-            for j in range(n)
-            if alg.c[i][j] != alg.c[j][i]
-        )
+        witness = alg.mu.skew_part().first_nonzero()
     else:  # jordan
         from .finalg import jordan_identity_defect
 

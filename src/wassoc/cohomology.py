@@ -23,12 +23,13 @@ from .finalg import (
     FinAlg,
     MultiMap,
     _exact,
+    commutator_endo,
     compose,
     contract,
     derivation_defect,
     is_nonassociative_poisson,
     linear_combination,
-    product_map,
+    vector_map,
 )
 from .identities import (
     LEAF,
@@ -89,7 +90,7 @@ def hochschild_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     """
     if phi.arity < 1:
         raise ValueError("needs arity >= 1")
-    mu = product_map(ctx.alg)
+    mu = ctx.alg.mu
     k = phi.arity
     terms = itertools.chain(
         [(1, mu, 1, phi)],
@@ -116,14 +117,7 @@ def wa_symmetrize3(t: MultiMap) -> MultiMap:
 def wa_delta0(ctx: CochainContext, x) -> Matrix:
     """Left-minus-right multiplication by the coordinate vector x, as a
     column-convention endomorphism."""
-    alg = ctx.alg
-    n = alg.dim
-    cols = []
-    for j in range(n):
-        l = alg.mul_vec(x, alg.basis_vector(j))
-        r = alg.mul_vec(alg.basis_vector(j), x)
-        cols.append(tuple(a - b for a, b in zip(l, r)))
-    return Matrix.from_rows([[cols[j][k] for j in range(n)] for k in range(n)])
+    return commutator_endo(ctx.alg, x)
 
 
 def wa_delta1(ctx: CochainContext, f: Matrix) -> MultiMap:
@@ -147,7 +141,7 @@ def leibniz_defect(ctx: CochainContext, psi: MultiMap) -> MultiMap:
     """L(psi)(x,y,z) = psi(xy, z) - x psi(y,z) - psi(x,z) y."""
     if psi.arity != 2:
         raise ValueError("needs arity 2")
-    mu = product_map(ctx.alg)
+    mu = ctx.alg.mu
     return (
         compose(psi, 0, mu)
         - compose(mu, 1, psi)
@@ -176,7 +170,7 @@ def is_multiderivation(ctx: CochainContext, phi: MultiMap) -> bool:
 def _check_multiderivation(ctx: CochainContext, phi: MultiMap):
     """Leibniz rule in each slot against the context product:
     phi(.., x_s x_{s+1}, ..) = x_s phi(.., x_{s+1}, ..) + phi(.., x_s, ..) x_{s+1}."""
-    mu = product_map(ctx.alg)
+    mu = ctx.alg.mu
     k = phi.arity
     left = compose(mu, 1, phi)   # (a, y..) -> a phi(y..)
     right = compose(mu, 0, phi)  # (y.., b) -> phi(y..) b
@@ -202,7 +196,7 @@ def lichnerowicz_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     if not phi.is_skew():
         raise ValueError("cochain must be skew-symmetric")
     _check_multiderivation(ctx, phi)
-    br = product_map(ctx.bracket)
+    br = ctx.bracket.mu
     k = phi.arity
     slots = range(1, k + 2)
     outer = compose(br, 1, phi)  # (a, y..) -> {a, phi(y..)}
@@ -225,11 +219,7 @@ def lichnerowicz_delta0(ctx: CochainContext, x) -> MultiMap:
     """Degree-0 case: (d x)(x0) = {x0, x} for an algebra element x."""
     if ctx.bracket is None:
         raise ValueError("context carries no Poisson pair")
-    bracket = ctx.bracket
-    n = bracket.dim
-    return MultiMap.from_function(
-        1, n, lambda i: bracket.mul_vec(bracket.basis_vector(i), x)
-    )
+    return compose(ctx.bracket.mu, 1, vector_map(ctx.bracket.dim, x))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +403,7 @@ def wa_delta3(ctx: CochainContext, phi3: MultiMap, coeffs) -> MultiMap:
     if len(coeffs) != len(unknowns):
         raise ValueError("coefficient vector must have 120 entries")
     coeffs = [_exact(q) for q in coeffs]
-    mu = product_map(ctx.alg)
+    mu = ctx.alg.mu
     family = {
         "a": compose(mu, 1, phi3),  # x1 f(x2, x3, x4)
         "b": compose(mu, 0, phi3),  # f(x1, x2, x3) x4

@@ -11,7 +11,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from .finalg import FinAlg, MultiMap, is_nonassociative_poisson, is_weakly_associative
+from .finalg import (
+    FinAlg,
+    MultiMap,
+    compose,
+    contract,
+    is_nonassociative_poisson,
+    is_weakly_associative,
+    map_to_endo,
+    vector_map,
+)
 
 
 def two_dim_family(a) -> FinAlg:
@@ -30,7 +39,7 @@ def two_dim_family(a) -> FinAlg:
 
 
 def abelian(dim: int) -> FinAlg:
-    return FinAlg.zero(dim)
+    return FinAlg(dim, {})
 
 
 def sl2() -> FinAlg:
@@ -60,12 +69,7 @@ def heisenberg3() -> FinAlg:
 
 def truncated_polynomials(k: int) -> FinAlg:
     """K[x]/(x^k) with basis 1, x, ..., x^(k-1)."""
-    c = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i + j < k:
-                c[i][j][i + j] = 1
-    return FinAlg(k, c)
+    return FinAlg(k, {(i, j): {i + j: 1} for i in range(k) for j in range(k - i)})
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +101,13 @@ class TruncatedPolynomialRing:
         self.dim = len(self.monomials)
 
     def algebra(self) -> FinAlg:
-        n = self.dim
-        c = [[[0] * n for _ in range(n)] for _ in range(n)]
+        products = {}
         for i, a in enumerate(self.monomials):
             for j, b in enumerate(self.monomials):
                 prod = tuple(x + y for x, y in zip(a, b))
                 if sum(prod) <= self.maxdeg:
-                    c[i][j][self.index[prod]] = 1
-        return FinAlg(n, c)
+                    products[(i, j)] = {self.index[prod]: 1}
+        return FinAlg(self.dim, products)
 
     def _diff(self, mono: tuple[int, ...], var: int):
         """d/dx_var of a monomial: (coefficient, exponent tuple) or None."""
@@ -121,11 +124,10 @@ class TruncatedPolynomialRing:
         Poisson bracket whenever the weight has positive total degree."""
         if self.nvars != 2:
             raise ValueError("plane Poisson brackets need two variables")
-        n = self.dim
         values = {}
         for i, a in enumerate(self.monomials):
             for j, b in enumerate(self.monomials):
-                out = [Fraction(0)] * n
+                out = values[(i, j)] = {}
                 for (va, vb, sign) in ((0, 1, 1), (1, 0, -1)):
                     da = self._diff(a, va)
                     db = self._diff(b, vb)
@@ -136,39 +138,30 @@ class TruncatedPolynomialRing:
                         w + x + y for w, x, y in zip(weight, da[1], db[1])
                     )
                     if sum(mono) <= self.maxdeg:
-                        out[self.index[mono]] += coeff
-                values[(i, j)] = tuple(out)
-        return MultiMap(2, n, values)
+                        k = self.index[mono]
+                        out[k] = out.get(k, 0) + coeff
+        return MultiMap(2, self.dim, values)
 
     def bracket_algebra(self, weight: tuple[int, ...]) -> FinAlg:
-        br = self.poisson_bracket(weight)
-        n = self.dim
-        return FinAlg(n, [[br(i, j) for j in range(n)] for i in range(n)])
+        return FinAlg.from_map(self.poisson_bracket(weight))
 
     def derivation_matrix(self, images: list[tuple]):
         """Column-convention matrix of the derivation with D(x_i) = images[i]
         (coordinate vectors); images must lie in the ideal (x_1..x_m)."""
-        from .linalg import Matrix
-
-        alg = self.algebra()
-        cols = []
-        for mono in self.monomials:
-            # D(x^a) = sum_i a_i x^(a - e_i) * D(x_i), computed in the quotient
-            vec = [Fraction(0)] * self.dim
-            for var in range(self.nvars):
+        # D(x^a) = sum_i a_i x^(a - e_i) * D(x_i), computed in the quotient:
+        # per variable, the partial derivative followed by right
+        # multiplication by the image.
+        mu, n = self.algebra().mu, self.dim
+        terms = []
+        for var in range(self.nvars):
+            partial = {}
+            for j, mono in enumerate(self.monomials):
                 d = self._diff(mono, var)
-                if d is None:
-                    continue
-                coeff, rest = d
-                rest_vec = tuple(
-                    coeff if m == rest else 0 for m in self.monomials
-                )
-                term = alg.mul_vec(rest_vec, images[var])
-                vec = [a + b for a, b in zip(vec, term)]
-            cols.append(tuple(vec))
-        return Matrix.from_rows(
-            [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-        )
+                if d is not None:
+                    partial[(j,)] = {self.index[d[1]]: d[0]}
+            times_image = compose(mu, 1, vector_map(n, images[var]))
+            terms.append((1, times_image, 0, MultiMap(1, n, partial)))
+        return map_to_endo(contract(1, n, terms))
 
 
 def plane_quotient(maxdeg: int = 2) -> TruncatedPolynomialRing:

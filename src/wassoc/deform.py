@@ -38,7 +38,6 @@ from .finalg import (
     multimap_from_json,
     multimap_to_json,
     polarize,
-    product_map,
     satisfies_jacobi,
 )
 from .linalg import Matrix
@@ -61,7 +60,7 @@ class TruncatedDeformation:
     def coefficient(self, k: int) -> MultiMap:
         """phi_k with phi_0 = the base product."""
         if k == 0:
-            return product_map(self.base)
+            return self.base.mu
         if 1 <= k <= self.order:
             return self.terms[k - 1]
         return MultiMap.zero(2, self.base.dim)
@@ -141,8 +140,7 @@ def quantization(deformation: TruncatedDeformation) -> QuantizationReport:
         raise ValueError("need a deformation truncated at order >= 2")
     failing = first_failing_order(deformation)
     psi = deformation.terms[0].skew_part()
-    n = base.dim
-    bracket_alg = FinAlg(n, [[psi(i, j) for j in range(n)] for i in range(n)])
+    bracket_alg = FinAlg.from_map(psi)
     jacobi_ok = satisfies_jacobi(bracket_alg)
     leibniz_ok = leibniz_defect_pair(base, bracket_alg).is_zero()
     poisson_ok = is_nonassociative_poisson(base, bracket_alg)
@@ -276,7 +274,7 @@ def ncp_defect(
         raise ValueError("bullet must be commutative")
     if not (is_nonassociative_poisson(bullet, bracket) or satisfies_jacobi(bracket)):
         raise ValueError("bracket must be a Lie bracket")
-    dot, br = product_map(bullet), product_map(bracket)
+    dot, br = bullet.mu, bracket.mu
     n = bullet.dim
     swap12 = (2, 1, 3)  # (x, y, z) -> (y, x, z)
     plain = contract(3, n, ((1, b1, 1, dot), (-1, dot, 0, b1), (1, br, 1, rho1), (-1, rho1, 0, br)))

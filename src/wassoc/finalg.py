@@ -1,26 +1,30 @@
 """Finite-dimensional algebras over Q given by structure constants.
 
-A FinAlg is a dim-n algebra with e_i * e_j = sum_k c[i][j][k] e_k (0-based
-indices internally, 1-based in error messages and witnesses), stored as a
-dense table.  A MultiMap is a k-linear map stored sparsely: only input tuples
-with a nonzero output, and only the nonzero output coordinates, with integral
-coefficients kept as ints and the rest as Fractions.  `contract` (a signed sum
-of partial compositions, each one map substituted into one input slot of
-another) is the one contraction routine, and `compose` is its one-term case.
-Identity evaluation, the derivation, Jacobi, Jordan and Leibniz defects, and
-the coboundary and deformation code of the `cohomology` and `deform` modules
-are built from it; terms that also permute their inputs (`permute_inputs`)
-are summed by `linear_combination`.
+A MultiMap is a k-linear map stored sparsely: only input tuples with a
+nonzero output, and only the nonzero output coordinates, with integral
+coefficients kept as ints and the rest as Fractions.  A FinAlg is a dim-n
+algebra (A, mu) and holds nothing but its product mu, a bilinear MultiMap:
+e_i * e_j = mu(i, j) (0-based indices internally, 1-based in error messages
+and witnesses).  A coordinate vector is a 0-linear map (`vector_map`), an
+endomorphism a 1-linear one.  `contract` (a signed sum of partial
+compositions, each one map substituted into one input slot of another) is
+the one contraction routine, and `compose` is its one-term case.  Products
+of vectors, identity evaluation, the derivation, Jacobi, Jordan and Leibniz
+defects, and the coboundary and deformation code of the `cohomology` and
+`deform` modules are built from it; terms that also permute their inputs
+(`permute_inputs`) are summed by `linear_combination`, which also gives the
+sum, difference and multiples of algebras.
 
 `contract` adds whole rows as packed integers (Kronecker substitution): one
 slot width per call, from a bound B on the output coefficients cleared of
 denominators, so adding a scaled row is one big-integer multiply-add and each
 output row is decoded once.
 
-Inputs are validated once, by the public `MultiMap` constructor.  The results
-of `contract`, `linear_combination` and `permute_inputs` are built from maps
-that already hold the invariant, so they are wrapped without a second check
-(`_trusted`); their rows may be shared between maps and are never mutated.
+Inputs are validated once, by the public `MultiMap` constructor, which is
+also the only check of the `FinAlg` constructor.  The results of `contract`,
+`linear_combination` and `permute_inputs` are built from maps that already
+hold the invariant, so they are wrapped without a second check (`_trusted`);
+their rows may be shared between maps and are never mutated.
 """
 
 from __future__ import annotations
@@ -43,133 +47,56 @@ from .linalg import Matrix, as_rational
 
 
 class FinAlg:
-    """Structure constants c[i][j] = coordinate tuple of e_i * e_j; entries
-    must be ints or Fractions (bools, floats and strings are rejected).
-    The table is read-only; `product_map` builds the product as a bilinear
-    map once and keeps it in `_mu`."""
+    """A dim-n algebra (A, mu): `mu` is the product as a bilinear MultiMap,
+    so e_i e_j = mu(i, j) (0-based indices internally, 1-based in error
+    messages and witnesses).  `FinAlg(dim, values)` takes what
+    `MultiMap(2, dim, values)` takes and is validated by it; `mu` is
+    read-only."""
 
-    __slots__ = ("dim", "c", "_mu")
+    __slots__ = ("dim", "mu")
 
-    def __init__(self, dim: int, c):
+    def __init__(self, dim: int, values: dict):
         self.dim = dim
-        table = tuple(tuple(tuple(row) for row in plane) for plane in c)
-        if len(table) != dim or any(
-            len(plane) != dim or any(len(v) != dim for v in plane) for plane in table
-        ):
-            raise ValueError("structure constant table must be dim x dim x dim")
-        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(table))
-        bad = set(map(type, entries)) - {int, Fraction}
-        if bad:
-            names = ", ".join(sorted(t.__name__ for t in bad))
-            raise TypeError(f"structure constants must be int or Fraction, not {names}")
-        self.c = table
+        self.mu = MultiMap(2, dim, values)
 
     @staticmethod
-    def zero(dim: int) -> "FinAlg":
-        z = tuple(tuple(tuple(0 for _ in range(dim)) for _ in range(dim)) for _ in range(dim))
-        return FinAlg(dim, z)
+    def from_map(mu: "MultiMap") -> "FinAlg":
+        """The algebra whose product is the (already validated) bilinear map mu."""
+        if mu.arity != 2:
+            raise ValueError("an algebra product needs arity 2")
+        alg = object.__new__(FinAlg)
+        alg.dim = mu.dim
+        alg.mu = mu
+        return alg
 
     @staticmethod
     def from_products(dim: int, products: dict) -> "FinAlg":
         """products maps (i, j) 1-based pairs to {k: coeff} output dicts."""
-        c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), out in products.items():
-            for k, q in out.items():
-                c[i - 1][j - 1][k - 1] = q
-        return FinAlg(dim, c)
-
-    def product(self, i: int, j: int) -> tuple:
-        return self.c[i][j]
-
-    def mul_vec(self, u, v) -> tuple:
-        """Product of two coordinate vectors."""
-        n = self.dim
-        out = [0] * n
-        for a in range(n):
-            ua = u[a]
-            if ua == 0:
-                continue
-            ca = self.c[a]
-            for b in range(n):
-                vb = v[b]
-                if vb == 0:
-                    continue
-                q = ua * vb
-                cab = ca[b]
-                for k in range(n):
-                    if cab[k] != 0:
-                        out[k] += q * cab[k]
-        return tuple(out)
-
-    def lmul_basis(self, i: int, v) -> tuple:
-        """e_i * v for a coordinate vector v."""
-        n = self.dim
-        out = [0] * n
-        ci = self.c[i]
-        for b in range(n):
-            vb = v[b]
-            if vb == 0:
-                continue
-            row = ci[b]
-            for k in range(n):
-                if row[k] != 0:
-                    out[k] += vb * row[k]
-        return tuple(out)
-
-    def rmul_basis(self, v, j: int) -> tuple:
-        """v * e_j for a coordinate vector v."""
-        n = self.dim
-        out = [0] * n
-        for a in range(n):
-            va = v[a]
-            if va == 0:
-                continue
-            row = self.c[a][j]
-            for k in range(n):
-                if row[k] != 0:
-                    out[k] += va * row[k]
-        return tuple(out)
+        return FinAlg(
+            dim,
+            {
+                (i - 1, j - 1): {k - 1: q for k, q in out.items()}
+                for (i, j), out in products.items()
+            },
+        )
 
     def basis_vector(self, i: int) -> tuple:
         return tuple(1 if k == i else 0 for k in range(self.dim))
 
     def opposite(self) -> "FinAlg":
-        n = self.dim
-        return FinAlg(n, [[self.c[j][i] for j in range(n)] for i in range(n)])
+        return FinAlg.from_map(self.mu.transpose_pair())
 
     def add(self, other: "FinAlg") -> "FinAlg":
-        n = self.dim
-        if other.dim != n:
-            raise ValueError("dimension mismatch")
-        return FinAlg(
-            n,
-            [
-                [[self.c[i][j][k] + other.c[i][j][k] for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        return FinAlg.from_map(self.mu + other.mu)
 
     def scale(self, q) -> "FinAlg":
-        q = _exact(q)
-        n = self.dim
-        return FinAlg(
-            n,
-            [[[q * x for x in self.c[i][j]] for j in range(n)] for i in range(n)],
-        )
+        return FinAlg.from_map(self.mu.scale(q))
 
     def sub(self, other: "FinAlg") -> "FinAlg":
-        return self.add(other.scale(-1))
+        return FinAlg.from_map(self.mu - other.mu)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FinAlg) or self.dim != other.dim:
-            return False
-        n = self.dim
-        return all(
-            self.c[i][j][k] == other.c[i][j][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
+        return isinstance(other, FinAlg) and self.mu == other.mu
 
     def __repr__(self) -> str:
         return f"FinAlg(dim={self.dim})"
@@ -413,8 +340,10 @@ def contract(arity: int, dim: int, terms) -> MultiMap:
     a bilinear map substituted into a slot, an endomorphism (a 1-linear map,
     `endo_to_map`) precomposed into a slot (inner) or applied to the output
     (outer, slot 0), the product applied on either side of the output
-    (`compose(product_map(alg), 1, m)` is x_1 m(x_2 ..)), and the signed sums
-    of such terms that make up coboundaries, defects and gauge series.
+    (`compose(alg.mu, 1, m)` is x_1 m(x_2 ..)), a coordinate vector (a
+    0-linear map, `vector_map`) multiplied in on either side
+    (`compose(alg.mu, 0, v)` is y -> v y), and the signed sums of such terms
+    that make up coboundaries, defects and gauge series.
 
     Rows are added packed (Kronecker substitution).  With D the lcm of a
     map's denominators and L the common denominator of the term scalars
@@ -499,19 +428,10 @@ def identity_map(dim: int) -> MultiMap:
     return _trusted(1, dim, {(i,): {i: 1} for i in range(dim)})
 
 
-def product_map(alg: FinAlg) -> MultiMap:
-    """The product as a bilinear map, read from the (validated) table on
-    the first call and the same read-only map on every later one."""
-    mu = getattr(alg, "_mu", None)
-    if mu is None:
-        coeffs = {}
-        for i, plane in enumerate(alg.c):
-            for j, vec in enumerate(plane):
-                row = _normalized(dict(enumerate(vec)))
-                if row:
-                    coeffs[(i, j)] = row
-        mu = alg._mu = _trusted(2, alg.dim, coeffs)
-    return mu
+def vector_map(dim: int, x) -> MultiMap:
+    """A coordinate vector (length dim, or {coordinate: coefficient}) as a
+    0-linear map, so that products with it are `contract` terms."""
+    return MultiMap(0, dim, {(): x})
 
 
 def endo_to_map(alg_dim: int, m: Matrix) -> MultiMap:
@@ -537,11 +457,13 @@ def evaluate(alg: FinAlg, e: MultilinearIdentity) -> MultiMap:
     """Substitute the algebra product at each internal node; the result is the
     zero tensor iff the algebra satisfies the identity."""
     n = alg.dim
-    mu = product_map(alg)
-    trees: dict = {LEAF: identity_map(n)}
+    mu = alg.mu
+    trees: dict = {}
 
     def tree(shape) -> MultiMap:
         """The shape's tree of products, inputs in leaf order."""
+        if shape is LEAF:
+            return identity_map(n)
         if shape not in trees:
             op, left, right = shape
             if op != "m":
@@ -562,16 +484,11 @@ def evaluate(alg: FinAlg, e: MultilinearIdentity) -> MultiMap:
 # ---------------------------------------------------------------------------
 
 def is_commutative(alg: FinAlg) -> bool:
-    n = alg.dim
-    return all(alg.c[i][j] == alg.c[j][i] for i in range(n) for j in range(i + 1, n))
+    return alg.mu.skew_part().is_zero()
+
 
 def is_anticommutative(alg: FinAlg) -> bool:
-    n = alg.dim
-    return all(
-        all(alg.c[i][j][k] == -alg.c[j][i][k] for k in range(n))
-        for i in range(n)
-        for j in range(i, n)
-    )
+    return alg.mu.sym_part().is_zero()
 
 
 def is_associative(alg: FinAlg) -> bool:
@@ -592,7 +509,7 @@ def is_lie_admissible(alg: FinAlg) -> bool:
 
 def jacobi_defect(alg: FinAlg) -> MultiMap:
     """J(x,y,z) = (xy)z + (yz)x + (zx)y for the algebra's own product."""
-    mu = product_map(alg)
+    mu = alg.mu
     left = compose(mu, 0, mu)
     return left + left.permute_inputs((2, 3, 1)) + left.permute_inputs((3, 1, 2))
 
@@ -610,7 +527,7 @@ def jordan_identity_defect(alg: FinAlg) -> MultiMap:
     sum over permutations s of the three x-slots of
     (x_{s1} y)(x_{s2} x_{s3}) - x_{s1} (y (x_{s2} x_{s3})), arity 4 with the
     y slot last."""
-    mu = product_map(alg)
+    mu = alg.mu
     right = compose(mu, 1, mu)
     # Both trees take their inputs as (x_a, y, x_b, x_c).
     defect = contract(4, alg.dim, ((1, right, 0, mu), (-1, mu, 1, right)))
@@ -633,7 +550,7 @@ def is_jordan(alg: FinAlg) -> bool:
 
 def derivation_defect(alg: FinAlg, f: Matrix) -> MultiMap:
     """f(x)y + x f(y) - f(xy); f in column convention."""
-    mu = product_map(alg)
+    mu = alg.mu
     fm = endo_to_map(alg.dim, f)
     return contract(2, alg.dim, ((1, mu, 0, fm), (1, mu, 1, fm), (-1, fm, 0, mu)))
 
@@ -643,15 +560,16 @@ def is_derivation(alg: FinAlg, f: Matrix) -> bool:
     return derivation_defect(alg, f).is_zero()
 
 
+def commutator_endo(alg: FinAlg, x) -> Matrix:
+    """The endomorphism y -> x y - y x of a coordinate vector x, as a
+    column-convention matrix."""
+    v = vector_map(alg.dim, x)
+    return map_to_endo(contract(1, alg.dim, ((1, alg.mu, 0, v), (-1, alg.mu, 1, v))))
+
+
 def inner_derivation_candidate(alg: FinAlg, i: int) -> Matrix:
     """The endomorphism x -> e_i x - x e_i as a column-convention matrix."""
-    n = alg.dim
-    cols = []
-    for j in range(n):
-        l = alg.product(i, j)
-        r = alg.product(j, i)
-        cols.append(tuple(a - b for a, b in zip(l, r)))
-    return Matrix.from_rows([[cols[j][k] for j in range(n)] for k in range(n)])
+    return commutator_endo(alg, alg.basis_vector(i))
 
 
 # ---------------------------------------------------------------------------
@@ -668,24 +586,12 @@ def depolarize(bullet: FinAlg, bracket: FinAlg) -> FinAlg:
     """Product x*y = x.y + {x,y}; requires a commutative bullet and an
     anticommutative bracket."""
     if not is_commutative(bullet):
-        n = bullet.dim
-        pair = next(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if bullet.c[i][j] != bullet.c[j][i]
-        )
+        pair, _ = bullet.mu.skew_part().first_nonzero()
         raise ValueError(
             f"bullet product not commutative at basis pair (e{pair[0]+1}, e{pair[1]+1})"
         )
     if not is_anticommutative(bracket):
-        n = bracket.dim
-        pair = next(
-            (i, j)
-            for i in range(n)
-            for j in range(i, n)
-            if any(bracket.c[i][j][k] != -bracket.c[j][i][k] for k in range(n))
-        )
+        pair, _ = bracket.mu.sym_part().first_nonzero()
         raise ValueError(
             f"bracket not anticommutative at basis pair (e{pair[0]+1}, e{pair[1]+1})"
         )
@@ -694,7 +600,7 @@ def depolarize(bullet: FinAlg, bracket: FinAlg) -> FinAlg:
 
 def leibniz_defect_pair(bullet: FinAlg, bracket: FinAlg) -> MultiMap:
     """{x.y, z} - x.{y,z} - {x,z}.y on basis triples."""
-    dot, br = product_map(bullet), product_map(bracket)
+    dot, br = bullet.mu, bracket.mu
     return (
         compose(br, 0, dot)
         - compose(dot, 1, br)
@@ -779,38 +685,36 @@ def algebra_from_json(doc) -> FinAlg:
     n = doc["dim"]
     if not _json_int(n) or n < 1:
         raise AlgebraFormatError(f"bad dimension {n!r}")
-    c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    seen = set()
+    values: dict = {}
     for entry in _json_list(doc.get("products", []), "'products'"):
         _json_object(entry, ("i", "j", "out"), "product entry")
         i, j = entry.get("i"), entry.get("j")
         if not (_json_int(i) and _json_int(j) and 1 <= i <= n and 1 <= j <= n):
             raise AlgebraFormatError(f"product indices out of range: i={i!r} j={j!r}")
+        row = values.setdefault((i - 1, j - 1), {})
         for term in _json_list(entry.get("out", []), "'out'"):
             _json_object(term, ("k", "c"), "output term")
             k = term.get("k")
             if not (_json_int(k) and 1 <= k <= n):
                 raise AlgebraFormatError(f"output index out of range: k={k!r}")
-            if (i, j, k) in seen:
+            if k - 1 in row:
                 raise AlgebraFormatError(f"duplicate entry for e{i} e{j} -> e{k}")
-            seen.add((i, j, k))
-            c[i - 1][j - 1][k - 1] = _parse_rational(term.get("c"))
-    return FinAlg(n, c)
+            row[k - 1] = _parse_rational(term.get("c"))
+    return FinAlg(n, values)
 
 
 def algebra_to_json(alg: FinAlg) -> dict:
-    products = []
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            out = [
-                {"k": k + 1, "c": _format_rational(alg.c[i][j][k])}
-                for k in range(n)
-                if alg.c[i][j][k] != 0
-            ]
-            if out:
-                products.append({"i": i + 1, "j": j + 1, "out": out})
-    return {"dim": n, "products": products}
+    """The document `algebra_from_json` reads: entries by (i, j), outputs
+    by k, zeros left out."""
+    products = [
+        {
+            "i": i + 1,
+            "j": j + 1,
+            "out": [{"k": k + 1, "c": _format_rational(row[k])} for k in sorted(row)],
+        }
+        for (i, j), row in sorted(alg.mu.coeffs.items())
+    ]
+    return {"dim": alg.dim, "products": products}
 
 
 def multimap_from_json(doc, dim: int, arity: int = 2) -> MultiMap:

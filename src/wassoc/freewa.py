@@ -165,13 +165,13 @@ def as_truncated_algebra(basis: GradedBasis, max_degree: int | None = None) -> F
         raise ValueError("cannot truncate above the built degree")
     labels = [l for level in basis.elements[: max_degree + 1] for l in level]
     index = {l: i for i, l in enumerate(labels)}
-    n = len(labels)
-    c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, u in enumerate(labels):
-        for j, v in enumerate(labels):
-            if u.degree + v.degree <= max_degree:
-                c[i][j][index[multiply(u, v)]] = 1
-    return FreeTruncation(FinAlg(n, c), labels, index, max_degree)
+    products = {
+        (i, j): {index[multiply(u, v)]: 1}
+        for i, u in enumerate(labels)
+        for j, v in enumerate(labels)
+        if u.degree + v.degree <= max_degree
+    }
+    return FreeTruncation(FinAlg(len(labels), products), labels, index, max_degree)
 
 
 def enumerate_unordered_trees(n: int) -> set:

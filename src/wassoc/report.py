@@ -616,9 +616,8 @@ def _deform_checks(rep: Report, rng: random.Random):
     ).is_zero()
     base2 = mu.add(ring.bracket_algebra((1, 0)))
     bullet2, bracket2 = polarize(base2)
-    brmap = MultiMap.from_function(2, n, lambda i, j: bracket2.product(i, j))
     ncp_ok = ncp_ok and ncp_defect(
-        bullet2, bracket2, MultiMap.zero(2, n), brmap
+        bullet2, bracket2, MultiMap.zero(2, n), bracket2.mu
     ).is_zero()
     rep.add(
         "deform.ncp",

@@ -409,7 +409,7 @@ def test_criterion_10_deformation_suite():
     ).is_zero()
     base2 = mu.add(ring.bracket_algebra((1, 0)))
     bullet2, bracket2 = polarize(base2)
-    brmap = MultiMap.from_function(2, n, lambda i, j: bracket2.product(i, j))
+    brmap = MultiMap.from_function(2, n, lambda i, j: bracket2.mu(i, j))
     ncp_ok = ncp_ok and ncp_defect(
         bullet2, bracket2, MultiMap.zero(2, n), brmap
     ).is_zero()

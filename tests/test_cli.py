@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wassoc.cli import main
+from wassoc.cli import PROPERTIES, main
 from wassoc.corpus import two_dim_family
 from wassoc import deform
 from wassoc.deform import deformation_to_json, linear_deformation, wa_defect
@@ -338,3 +338,40 @@ def test_malformed_documents_exit_2(tmp_path, capsys, rng):
         argv = ["deform", "--file", str(path)] if "base" in doc else [
             "check", "--algebra", str(path), "--property", "commutative"]
         assert main(argv) in (0, 1)
+
+
+# One product entry in dimension 100000: the algebra is A (dim 2) plus
+# 99998 basis vectors that multiply to zero with everything, so each
+# property holds or fails exactly as on A, with the same witness padded by
+# zero coordinates.  A dense dim^3 table would take 10^15 cells.
+LARGE_DIM = 100000
+LARGE_DIM_CASES = {
+    # e1 e2 = e1: only lie-admissible holds.
+    "e1e2=e1": ({"i": 1, "j": 2, "out": [{"k": 1, "c": "1/1"}]}, {
+        "associative": 1, "commutative": 1, "flexible": 1, "jordan": 1,
+        "lie-admissible": 0, "weakly-associative": 1,
+    }),
+    # e1 e1 = e2: commutative and nilpotent, so every property holds.
+    "e1e1=e2": ({"i": 1, "j": 1, "out": [{"k": 2, "c": "1/1"}]}, {
+        "associative": 0, "commutative": 0, "flexible": 0, "jordan": 0,
+        "lie-admissible": 0, "weakly-associative": 0,
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_DIM_CASES))
+def test_check_large_dim_without_dense_table(tmp_path, capsys, case):
+    entry, expected = LARGE_DIM_CASES[case]
+    assert sorted(expected) == sorted(PROPERTIES)
+    for prop in sorted(PROPERTIES):
+        lines = {}
+        for dim in (2, LARGE_DIM):
+            path = tmp_path / f"dim{dim}.json"
+            path.write_text(json.dumps({"dim": dim, "products": [entry]}))
+            assert main(["check", "--algebra", str(path), "--property", prop]) == expected[prop]
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines[dim] = captured.out
+        padding = ", 0" * (LARGE_DIM - 2)
+        assert lines[LARGE_DIM] == lines[2].replace("]\n", padding + "]\n")
+        assert lines[2].startswith(f"{prop}: {'holds' if expected[prop] == 0 else 'fails'}")

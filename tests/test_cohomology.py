@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from test_finalg import reference_lmul_basis, reference_mul_vec, reference_rmul_basis
 from test_identities import reference_consequence_generators
 from test_linalg import reference_rref
 
@@ -39,7 +40,7 @@ from wassoc.corpus import (
     truncated_polynomials,
     two_dim_family,
 )
-from wassoc.finalg import FinAlg, MultiMap, evaluate, product_map
+from wassoc.finalg import FinAlg, MultiMap, evaluate
 from wassoc.identities import associator, wa_expression
 from wassoc.linalg import Matrix, in_span, kernel_basis, pivot_columns, vector
 
@@ -55,11 +56,11 @@ def test_hochschild_square_zero_on_associative(rng):
 def test_hochschild_of_product_is_twice_associator():
     for alg in (two_dim_family(6), two_dim_family(0)):
         ctx = CochainContext(alg)
-        d = hochschild_delta(ctx, product_map(alg))
+        d = hochschild_delta(ctx, alg.mu)
         assert d == evaluate(alg, associator()).scale(2)
     assoc = truncated_polynomials(3)
     ctx = CochainContext(assoc)
-    assert hochschild_delta(ctx, product_map(assoc)).is_zero()
+    assert hochschild_delta(ctx, assoc.mu).is_zero()
 
 
 def test_hochschild_leibniz_equivalence_for_skew(rng):
@@ -228,7 +229,61 @@ def test_lichnerowicz_delta0():
     d0 = lichnerowicz_delta0(ctx, x)
     br = ctx.bracket
     for i in range(6):
-        assert d0(i) == br.mul_vec(br.basis_vector(i), x)
+        assert d0(i) == reference_mul_vec(br, br.basis_vector(i), x)
+
+
+def _fraction_vector(n, rng):
+    return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n))
+
+
+def test_wa_delta0_matches_reference_mul_vec(wa_members, non_wa_members, rng):
+    for _, alg in wa_members + non_wa_members:
+        n = alg.dim
+        for x in [_fraction_vector(n, rng) for _ in range(2)] + [alg.basis_vector(n - 1)]:
+            d0 = wa_delta0(CochainContext(alg), x)
+            for j in range(n):
+                e = alg.basis_vector(j)
+                want = tuple(
+                    a - b
+                    for a, b in zip(reference_mul_vec(alg, x, e), reference_mul_vec(alg, e, x))
+                )
+                assert d0.col(j) == want
+
+
+def test_lichnerowicz_delta0_matches_reference_mul_vec(poisson_members, rng):
+    for _, bullet, bracket in poisson_members:
+        ctx = poisson_context(bullet, bracket)
+        n = bracket.dim
+        for x in (_fraction_vector(n, rng), _fraction_vector(n, rng)):
+            d0 = lichnerowicz_delta0(ctx, x)
+            for i in range(n):
+                assert d0(i) == reference_mul_vec(bracket, bracket.basis_vector(i), x)
+
+
+def reference_derivation_matrix(ring, images) -> Matrix:
+    """`TruncatedPolynomialRing.derivation_matrix` as it was written over
+    dense vector products: D(x^a) = sum_i a_i x^(a - e_i) * D(x_i)."""
+    alg = ring.algebra()
+    cols = []
+    for mono in ring.monomials:
+        vec = [Fraction(0)] * ring.dim
+        for var in range(ring.nvars):
+            if mono[var] == 0:
+                continue
+            rest = tuple(m - (v == var) for v, m in enumerate(mono))
+            rest_vec = tuple(mono[var] if m == rest else 0 for m in ring.monomials)
+            term = reference_mul_vec(alg, rest_vec, images[var])
+            vec = [a + b for a, b in zip(vec, term)]
+        cols.append(tuple(vec))
+    return Matrix.from_rows([[cols[j][k] for j in range(ring.dim)] for k in range(ring.dim)])
+
+
+def test_derivation_matrix_matches_reference(rng):
+    for ring in (plane_quotient(), plane_quotient(3), space_quotient_square()):
+        n = ring.dim
+        for _ in range(3):
+            images = [(0,) + _fraction_vector(n - 1, rng) for _ in range(ring.nvars)]
+            assert ring.derivation_matrix(images) == reference_derivation_matrix(ring, images)
 
 
 def test_lichnerowicz_square_zero_on_derivations(rng):
@@ -461,17 +516,17 @@ def reference_hochschild_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     k = phi.arity
 
     def fn(*idx):
-        out = list(alg.lmul_basis(idx[0], phi(*idx[1:])))
+        out = list(reference_lmul_basis(alg, idx[0], phi(*idx[1:])))
         sign = -1
         for i in range(k):
-            merged = alg.product(idx[i], idx[i + 1])
+            merged = alg.mu(idx[i], idx[i + 1])
             for a in range(n):
                 if merged[a] != 0:
                     val = phi(*idx[:i], a, *idx[i + 2 :])
                     for t in range(n):
                         out[t] += sign * merged[a] * val[t]
             sign = -sign
-        last = alg.rmul_basis(phi(*idx[:-1]), idx[-1])
+        last = reference_rmul_basis(alg, phi(*idx[:-1]), idx[-1])
         for t in range(n):
             out[t] += sign * last[t]
         return tuple(out)
@@ -494,6 +549,6 @@ def test_hochschild_matches_dense_reference(rng):
         ctx = CochainContext(alg)
         n = alg.dim
         maps = [random_fraction_multimap(arity, n, rng) for arity in (1, 2, 3)]
-        maps += [MultiMap.zero(2, n), product_map(alg), random_skew_bilinear(n, rng, 2)]
+        maps += [MultiMap.zero(2, n), alg.mu, random_skew_bilinear(n, rng, 2)]
         for phi in maps:
             assert hochschild_delta(ctx, phi) == reference_hochschild_delta(ctx, phi)

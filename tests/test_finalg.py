@@ -43,9 +43,9 @@ from wassoc.finalg import (
     multimap_from_json,
     multimap_to_json,
     polarize,
-    product_map,
     satisfies_jacobi,
     satisfies_jordan_identity,
+    vector_map,
 )
 from wassoc.identities import associator, wa_expression
 from wassoc.linalg import Matrix
@@ -96,6 +96,58 @@ def assert_normalized(m: MultiMap):
             assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
+# Reference products of coordinate vectors: the loops `FinAlg` ran over its
+# dense dim x dim x dim structure-constant table before an algebra became its
+# bilinear map alone.  The table is read off `alg.mu` one basis pair at a time.
+
+def reference_table(alg: FinAlg) -> list:
+    return [[alg.mu(i, j) for j in range(alg.dim)] for i in range(alg.dim)]
+
+
+def reference_mul_vec(alg: FinAlg, u, v) -> tuple:
+    """Product of two coordinate vectors."""
+    n = alg.dim
+    c = reference_table(alg)
+    out = [0] * n
+    for a in range(n):
+        if u[a] == 0:
+            continue
+        for b in range(n):
+            if v[b] == 0:
+                continue
+            q = u[a] * v[b]
+            for k in range(n):
+                if c[a][b][k] != 0:
+                    out[k] += q * c[a][b][k]
+    return tuple(out)
+
+
+def reference_lmul_basis(alg: FinAlg, i: int, v) -> tuple:
+    """e_i * v for a coordinate vector v."""
+    n = alg.dim
+    ci = reference_table(alg)[i]
+    out = [0] * n
+    for b in range(n):
+        if v[b] != 0:
+            for k in range(n):
+                if ci[b][k] != 0:
+                    out[k] += v[b] * ci[b][k]
+    return tuple(out)
+
+
+def reference_rmul_basis(alg: FinAlg, v, j: int) -> tuple:
+    """v * e_j for a coordinate vector v."""
+    n = alg.dim
+    c = reference_table(alg)
+    out = [0] * n
+    for a in range(n):
+        if v[a] != 0:
+            for k in range(n):
+                if c[a][j][k] != 0:
+                    out[k] += v[a] * c[a][j][k]
+    return tuple(out)
+
+
 def test_two_dim_family_wa_and_associativity():
     alg = two_dim_family(6)
     assert is_weakly_associative(alg)
@@ -120,10 +172,10 @@ def test_two_dim_family_associator_value():
 
 def test_a6_example_matches_printed_products():
     alg = two_dim_family(6)
-    assert alg.product(0, 0) == (3, 0)
-    assert alg.product(0, 1) == (0, 2)
-    assert alg.product(1, 0) == (0, 1)
-    assert alg.product(1, 1) == (0, 0)
+    assert alg.mu(0, 0) == (3, 0)
+    assert alg.mu(0, 1) == (0, 2)
+    assert alg.mu(1, 0) == (0, 1)
+    assert alg.mu(1, 1) == (0, 0)
 
 
 def test_commutative_algebras_are_wa():
@@ -158,13 +210,13 @@ def test_polarize_trivial_cases():
     bullet, bracket = polarize(comm)
     assert bullet == comm.scale(2)
     assert all(
-        all(x == 0 for x in bracket.product(i, j)) for i in range(3) for j in range(3)
+        all(x == 0 for x in bracket.mu(i, j)) for i in range(3) for j in range(3)
     )
     lie = sl2()
     bullet, bracket = polarize(lie)
     assert bracket == lie.scale(2)
     assert all(
-        all(x == 0 for x in bullet.product(i, j)) for i in range(3) for j in range(3)
+        all(x == 0 for x in bullet.mu(i, j)) for i in range(3) for j in range(3)
     )
 
 
@@ -293,8 +345,8 @@ def test_algebra_json_roundtrip():
 def test_algebra_json_example_format():
     doc = {"dim": 2, "products": [{"i": 1, "j": 2, "out": [{"k": 2, "c": "3/1"}]}]}
     alg = algebra_from_json(doc)
-    assert alg.product(0, 1) == (0, 3)
-    assert alg.product(1, 0) == (0, 0)
+    assert alg.mu(0, 1) == (0, 3)
+    assert alg.mu(1, 0) == (0, 0)
 
 
 def test_algebra_json_rejects_bad_indices():
@@ -382,16 +434,34 @@ def test_multimap_constructor_rejects_bad_input(values, error):
 @pytest.mark.parametrize("entry", [0.1, True, "1"], ids=["float", "bool", "string"])
 def test_finalg_constructor_rejects_inexact_entries(entry):
     with pytest.raises(TypeError):
-        FinAlg(1, [[[entry]]])
+        FinAlg(1, {(0, 0): (entry,)})
     with pytest.raises(TypeError):
-        FinAlg(2, [[[1, 0], [0, 0]], [[0, 0], [0, entry]]])
+        FinAlg(2, {(0, 0): (1, 0), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (0, entry)})
+
+
+@pytest.mark.parametrize(
+    "products",
+    [
+        {(0, 1): {1: 1}},  # used to read as e2 e1 = e1
+        {(1, 0): {1: 1}},
+        {(1, 1): {0: 1}},  # used to read as e1 e1 = e2
+        {(3, 1): {1: 1}},  # used to raise a bare IndexError
+        {(1, 3): {1: 1}},
+        {(1, 1): {3: 1}},
+        {(-1, 1): {1: 1}},
+    ],
+    ids=["i-zero", "j-zero", "k-zero", "i-high", "j-high", "k-high", "i-negative"],
+)
+def test_from_products_rejects_indices_outside_1_to_dim(products):
+    with pytest.raises(ValueError):
+        FinAlg.from_products(2, products)
 
 
 def test_finalg_constructor_accepts_int_and_fraction():
-    alg = FinAlg(2, [[[1, 0], [0, Fraction(1, 2)]], [[0, Fraction(-3)], [0, 0]]])
-    assert alg.product(0, 1) == (0, Fraction(1, 2))
-    assert alg.product(1, 0) == (0, -3)
-    assert FinAlg(0, []).dim == 0
+    alg = FinAlg(2, {(0, 0): (1, 0), (0, 1): (0, Fraction(1, 2)), (1, 0): (0, Fraction(-3)), (1, 1): (0, 0)})
+    assert alg.mu(0, 1) == (0, Fraction(1, 2))
+    assert alg.mu(1, 0) == (0, -3)
+    assert FinAlg(0, {}).dim == 0
 
 
 def test_multimap_storage_is_sparse_and_integral():
@@ -434,9 +504,9 @@ def test_compose_matches_slot_substitution(rng):
 def test_json_rationals_keep_integers_as_int():
     doc = {"dim": 2, "products": [{"i": 1, "j": 2, "out": [{"k": 1, "c": "4/2"}, {"k": 2, "c": "1/2"}]}]}
     alg = algebra_from_json(doc)
-    assert alg.c[0][1] == (2, Fraction(1, 2))
-    assert [type(x) for x in alg.c[0][1]] == [int, Fraction]
-    assert type(alg.c[1][1][0]) is int
+    assert alg.mu(0, 1) == (2, Fraction(1, 2))
+    assert [type(x) for x in alg.mu(0, 1)] == [int, Fraction]
+    assert type(alg.mu(1, 1)[0]) is int
     m = multimap_from_json([[["3/1", "0/5"], ["-1/3", "2"]], [["0/1", "0/1"], ["6/4", "1/1"]]], 2)
     assert m.coeffs == {(0, 0): {0: 3}, (0, 1): {0: Fraction(-1, 3), 1: 2}, (1, 1): {0: Fraction(3, 2), 1: 1}}
 
@@ -545,6 +615,22 @@ def test_contract_matches_reference(rng):
         halves = contract(arity, dim, terms[3:5])
         assert all(type(x) is int for row in halves.coeffs.values() for x in row.values())
         assert [(outer.coeffs, inner.coeffs) for _, outer, slot, inner in terms] == before
+    # A coordinate vector is a 0-linear inner map: substituted into one slot
+    # it lowers the arity by one, down to a 0-linear result.
+    for outer_arity in (1, 2, 3):
+        outer = random_fraction_multimap(outer_arity, dim, rng)
+        vectors = [
+            vector_map(dim, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim))),
+            vector_map(dim, {2: 3}),
+            MultiMap.zero(0, dim),
+        ]
+        case = [
+            (q, outer, slot, v)
+            for slot in range(outer_arity)
+            for q, v in zip((1, Fraction(-2, 3), 5), vectors)
+        ]
+        got = assert_contract_matches_reference(outer_arity - 1, dim, case)
+        assert got.arity == outer_arity - 1 and not got.is_zero()
 
 
 def test_contract_rejects_shape_mismatch(rng):
@@ -704,13 +790,13 @@ def _plane_deformations(seed: int, degrees=(2, 3)):
         monos = [(a, d - a) for d in range(maxdeg + 1) for a in range(d, -1, -1)]
         index = {m: i for i, m in enumerate(monos)}
         n = len(monos)
-        mu = [[[0] * n for _ in range(n)] for _ in range(n)]
+        mu: dict = {}
         br: dict = {}
         for i, a in enumerate(monos):
             for j, b in enumerate(monos):
                 prod = (a[0] + b[0], a[1] + b[1])
                 if sum(prod) <= maxdeg:
-                    mu[i][j][index[prod]] = 1
+                    mu[(i, j)] = {index[prod]: 1}
                 row = br.setdefault((i, j), {})
                 for sign, da, db in ((1, 0, 1), (-1, 1, 0)):
                     mono = [weight[0] + a[0] + b[0], weight[1] + a[1] + b[1]]
@@ -750,28 +836,28 @@ def test_contract_on_gauged_plane_deformations():
 
 
 def test_product_map_matches_validating_constructor(wa_members, non_wa_members):
-    halves = FinAlg(2, [
-        [[Fraction(4, 2), Fraction(1, 2)], [0, Fraction(0, 3)]],
-        [[Fraction(-6, 3), 1], [Fraction(3, 6), 0]],
-    ])
+    halves = FinAlg(2, {
+        (0, 0): (Fraction(4, 2), Fraction(1, 2)), (0, 1): (0, Fraction(0, 3)),
+        (1, 0): (Fraction(-6, 3), 1), (1, 1): (Fraction(3, 6), 0),
+    })
     for alg in [alg for _, alg in wa_members + non_wa_members] + [halves]:
-        got = product_map(alg)
-        want = MultiMap.from_function(2, alg.dim, lambda i, j: alg.product(i, j))
+        got = alg.mu
+        want = MultiMap.from_function(2, alg.dim, lambda i, j: alg.mu(i, j))
         assert got.coeffs == want.coeffs
         assert_normalized(got)
-    assert product_map(halves).coeffs == {
+    assert halves.mu.coeffs == {
         (0, 0): {0: 2, 1: Fraction(1, 2)}, (1, 0): {0: -2, 1: 1}, (1, 1): {0: Fraction(1, 2)}
     }
 
 
 def test_product_map_is_built_once_per_algebra(wa_members):
     for _, alg in wa_members:
-        mu = product_map(alg)
-        assert product_map(alg) is mu
-        want = MultiMap.from_function(2, alg.dim, lambda i, j: alg.product(i, j))
+        mu = alg.mu
+        assert alg.mu is mu
+        want = MultiMap.from_function(2, alg.dim, lambda i, j: alg.mu(i, j))
         assert mu.coeffs == want.coeffs
-    fresh = FinAlg(2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
-    assert product_map(fresh) is not product_map(FinAlg(2, fresh.c))
+    fresh = FinAlg(2, {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (0, 0)})
+    assert fresh.mu is not FinAlg(2, fresh.mu.coeffs).mu
 
 
 @pytest.mark.parametrize("q", [0.0, False, True, 0.5, "1"], ids=["zero-float", "false", "true", "float", "string"])

@@ -99,8 +99,8 @@ def test_truncated_algebra_properties():
     # the unit acts as a genuine unit
     alg = trunc.algebra
     for j in range(alg.dim):
-        assert alg.product(0, j) == alg.basis_vector(j)
-        assert alg.product(j, 0) == alg.basis_vector(j)
+        assert alg.mu(0, j) == alg.basis_vector(j)
+        assert alg.mu(j, 0) == alg.basis_vector(j)
 
 
 def test_truncated_products_match_free_products():
@@ -108,7 +108,7 @@ def test_truncated_products_match_free_products():
     idx, labels = trunc.index, trunc.labels
     for i, u in enumerate(labels):
         for j, v in enumerate(labels):
-            out = trunc.algebra.product(i, j)
+            out = trunc.algebra.mu(i, j)
             if u.degree + v.degree <= 5:
                 expected = idx[multiply(u, v)]
                 assert out == tuple(

@@ -16,7 +16,7 @@ def reference_boundary(cc: ChainComplex, n: int, k: int, variant: str = "plain")
     trunc = as_truncated_algebra(build(cc.max_degree))
 
     def prod(i, j):
-        hits = [t for t, q in enumerate(trunc.algebra.product(i, j)) if q != 0]
+        hits = [t for t, q in enumerate(trunc.algebra.mu(i, j)) if q != 0]
         return hits[0] if hits else None
 
     def raw_terms(chain):
