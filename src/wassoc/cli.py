@@ -102,10 +102,10 @@ def cmd_check(args) -> int:
             return CLAIM_FAILED
         witness = jordan_identity_defect(alg).first_nonzero()
     if witness is not None:
-        idx, value = witness
+        idx, row = witness
         names = ", ".join(f"e{i + 1}" for i in idx)
-        coords = ", ".join(str(as_rational(x)) for x in value)
-        print(f"{args.property}: fails at ({names}) with value [{coords}]")
+        coords = ", ".join(f"e{k + 1}: {as_rational(row[k])}" for k in sorted(row))
+        print(f"{args.property}: fails at ({names}) with value {{{coords}}}")
     else:
         print(f"{args.property}: fails")
     return CLAIM_FAILED

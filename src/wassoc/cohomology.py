@@ -43,7 +43,7 @@ from .identities import (
     shapes,
     wa_expression,
 )
-from .linalg import Matrix, Vector, dense_row, sparse_kernel, sparse_reduce, sparse_rref
+from .linalg import Vector, sparse_kernel, sparse_reduce, sparse_rref
 from .symgroup import (
     C3,
     T12,
@@ -114,14 +114,15 @@ def wa_symmetrize3(t: MultiMap) -> MultiMap:
     )
 
 
-def wa_delta0(ctx: CochainContext, x) -> Matrix:
+def wa_delta0(ctx: CochainContext, x) -> MultiMap:
     """Left-minus-right multiplication by the coordinate vector x, as a
-    column-convention endomorphism."""
+    1-linear map y -> x y - y x."""
     return commutator_endo(ctx.alg, x)
 
 
-def wa_delta1(ctx: CochainContext, f: Matrix) -> MultiMap:
-    """f(x)y + x f(y) - f(xy)."""
+def wa_delta1(ctx: CochainContext, f) -> MultiMap:
+    """f(x)y + x f(y) - f(xy) for an endomorphism f (a 1-linear map, or a
+    column-convention `Matrix`, see `finalg.endo_to_map`)."""
     return derivation_defect(ctx.alg, f)
 
 
@@ -348,19 +349,10 @@ class Delta3System:
     def kernel_dim(self) -> int:
         return len(self.kernel)
 
-    @property
-    def reduced_matrix(self) -> Matrix:
-        """The reduced system as a dense `Fraction` matrix, built on access."""
-        return Matrix(
-            len(self.reduced_rows),
-            self.columns,
-            tuple(dense_row(row, self.columns) for row in self.reduced_rows),
-        )
-
 
 def build_delta3_system() -> Delta3System:
     """Assemble the 360-equation, 120-unknown system and reduce it modulo the
-    consequence span; the kernel of the reduced matrix is the space of
+    consequence span; the kernel of the reduced rows is the space of
     admissible degree-3 coboundary coefficient vectors."""
     basis = _free_basis4()
     index = {mono: i for i, mono in enumerate(basis)}

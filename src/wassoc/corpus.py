@@ -18,7 +18,6 @@ from .finalg import (
     contract,
     is_nonassociative_poisson,
     is_weakly_associative,
-    map_to_endo,
     vector_map,
 )
 
@@ -99,15 +98,19 @@ class TruncatedPolynomialRing:
         self.monomials = _monomials(nvars, maxdeg)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.dim = len(self.monomials)
+        self._algebra = None
 
     def algebra(self) -> FinAlg:
-        products = {}
-        for i, a in enumerate(self.monomials):
-            for j, b in enumerate(self.monomials):
-                prod = tuple(x + y for x, y in zip(a, b))
-                if sum(prod) <= self.maxdeg:
-                    products[(i, j)] = {self.index[prod]: 1}
-        return FinAlg(self.dim, products)
+        """The ring as a FinAlg, built on the first call and then shared."""
+        if self._algebra is None:
+            products = {}
+            for i, a in enumerate(self.monomials):
+                for j, b in enumerate(self.monomials):
+                    prod = tuple(x + y for x, y in zip(a, b))
+                    if sum(prod) <= self.maxdeg:
+                        products[(i, j)] = {self.index[prod]: 1}
+            self._algebra = FinAlg(self.dim, products)
+        return self._algebra
 
     def _diff(self, mono: tuple[int, ...], var: int):
         """d/dx_var of a monomial: (coefficient, exponent tuple) or None."""
@@ -145,9 +148,9 @@ class TruncatedPolynomialRing:
     def bracket_algebra(self, weight: tuple[int, ...]) -> FinAlg:
         return FinAlg.from_map(self.poisson_bracket(weight))
 
-    def derivation_matrix(self, images: list[tuple]):
-        """Column-convention matrix of the derivation with D(x_i) = images[i]
-        (coordinate vectors); images must lie in the ideal (x_1..x_m)."""
+    def derivation(self, images: list[tuple]) -> MultiMap:
+        """The derivation with D(x_i) = images[i] (coordinate vectors) as a
+        1-linear map; images must lie in the ideal (x_1..x_m)."""
         # D(x^a) = sum_i a_i x^(a - e_i) * D(x_i), computed in the quotient:
         # per variable, the partial derivative followed by right
         # multiplication by the image.
@@ -161,7 +164,7 @@ class TruncatedPolynomialRing:
                     partial[(j,)] = {self.index[d[1]]: d[0]}
             times_image = compose(mu, 1, vector_map(n, images[var]))
             terms.append((1, times_image, 0, MultiMap(1, n, partial)))
-        return map_to_endo(contract(1, n, terms))
+        return contract(1, n, terms)
 
 
 def plane_quotient(maxdeg: int = 2) -> TruncatedPolynomialRing:
@@ -281,12 +284,11 @@ def random_vector(dim: int, rng: random.Random, bound: int = 3) -> tuple:
     return tuple(rng.randint(-bound, bound) for _ in range(dim))
 
 
-def random_endomorphism(dim: int, rng: random.Random, bound: int = 3):
-    from .linalg import Matrix
-
-    return Matrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)]
-    )
+def random_endomorphism(dim: int, rng: random.Random, bound: int = 3) -> MultiMap:
+    """A 1-linear map with entries drawn row by row of its matrix (row k
+    holds coordinate k of every image), so e_j -> column j."""
+    rows = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)]
+    return MultiMap(1, dim, {(j,): [row[j] for row in rows] for j in range(dim)})
 
 
 def random_multimap(arity: int, dim: int, rng: random.Random, bound: int = 3) -> MultiMap:

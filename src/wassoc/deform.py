@@ -34,13 +34,11 @@ from .finalg import (
     is_weakly_associative,
     leibniz_defect_pair,
     linear_combination,
-    map_to_endo,
     multimap_from_json,
     multimap_to_json,
     polarize,
     satisfies_jacobi,
 )
-from .linalg import Matrix
 
 
 @dataclass
@@ -171,25 +169,29 @@ def quantization(deformation: TruncatedDeformation) -> QuantizationReport:
 
 @dataclass
 class GaugeTransform:
-    """f_t = Id + t h_1 + ... + t^N h_N, column-convention matrices."""
+    """f_t = Id + t h_1 + ... + t^N h_N.  Each h_i is an endomorphism, held
+    as a 1-linear map; a column-convention `Matrix` is converted on entry
+    (`finalg.endo_to_map`)."""
 
-    h: list[Matrix]
+    h: list[MultiMap]
+
+    def __post_init__(self):
+        self.h = [endo_to_map(f) for f in self.h]
 
     @property
     def order(self) -> int:
         return len(self.h)
 
     def maps(self) -> list[MultiMap]:
-        """Id, h_1 .. h_N as 1-linear maps."""
+        """Id, h_1 .. h_N."""
         if not self.h:
             raise ValueError("empty gauge transform")
-        n = self.h[0].rows
-        return [identity_map(n)] + [endo_to_map(n, m) for m in self.h]
+        return [identity_map(self.h[0].dim)] + self.h
 
     def inverse_maps(self, order: int) -> list[MultiMap]:
-        """g_0 = Id, g_1 .. g_order of the truncated series inverse of f_t,
-        as 1-linear maps: g_k = -sum_{i=1..k} h_i g_{k-i}, with h_i = 0
-        beyond the order of f_t."""
+        """g_0 = Id, g_1 .. g_order of the truncated series inverse of f_t:
+        g_k = -sum_{i=1..k} h_i g_{k-i}, with h_i = 0 beyond the order of
+        f_t."""
         h = self.maps()
         n = h[0].dim
         g = h[:1]
@@ -198,13 +200,9 @@ class GaugeTransform:
             g.append(contract(1, n, terms))
         return g
 
-    def inverse_terms(self, order: int) -> list[Matrix]:
-        """Terms g_1..g_order of the truncated series inverse of f_t."""
-        return [map_to_endo(g) for g in self.inverse_maps(order)[1:]]
-
 
 def identity_gauge(dim: int, order: int = 3) -> GaugeTransform:
-    return GaugeTransform([Matrix.zero(dim, dim) for _ in range(order)])
+    return GaugeTransform([MultiMap.zero(1, dim) for _ in range(order)])
 
 
 def gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> TruncatedDeformation:
@@ -233,23 +231,15 @@ def gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> TruncatedDefo
 
 def gauge_compose(outer: GaugeTransform, inner: GaugeTransform) -> GaugeTransform:
     """Truncated composition: gauge(gauge(def, inner), outer) equals
-    gauge(def, gauge_compose(outer, inner))."""
+    gauge(def, gauge_compose(outer, inner)).  Its t^k term is
+    sum_{i=0..k} outer_i inner_(k-i), with both 0-th terms the identity."""
     if outer.order != inner.order:
         raise ValueError("orders must match")
-    order = outer.order
-    n = outer.h[0].rows
-    ident = Matrix.identity(n)
-
-    def term(g, k):
-        return ident if k == 0 else g.h[k - 1]
-
-    h = []
-    for k in range(1, order + 1):
-        acc = Matrix.zero(n, n)
-        for i in range(0, k + 1):
-            acc = acc + (term(outer, i) @ term(inner, k - i))
-        h.append(acc)
-    return GaugeTransform(h)
+    a, b = outer.maps(), inner.maps()
+    n = a[0].dim
+    return GaugeTransform(
+        [contract(1, n, ((1, a[i], 0, b[k - i]) for i in range(k + 1))) for k in range(1, outer.order + 1)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .identities import (
     lie_admissible_expression,
     wa_expression,
 )
-from .linalg import Matrix, as_rational
+from .linalg import as_rational
 
 
 class FinAlg:
@@ -183,11 +183,12 @@ class MultiMap:
         return not self.coeffs
 
     def first_nonzero(self):
-        """Smallest input tuple with nonzero output, with its value (or None)."""
+        """Smallest input tuple with nonzero output, with that output as its
+        sparse row {coordinate: nonzero coefficient} (or None)."""
         if not self.coeffs:
             return None
         idx = min(self.coeffs)
-        return idx, self(*idx)
+        return idx, self.coeffs[idx]
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
         return linear_combination(self.arity, self.dim, ((1, self), (1, other)))
@@ -337,8 +338,8 @@ def contract(arity: int, dim: int, terms) -> MultiMap:
       (x_1 .. x_{k+l-1}) -> outer(x_1 .. x_slot, inner(x_{slot+1} .. x_{slot+l}), ..).
 
     Every contraction of multilinear maps in the package is this one routine:
-    a bilinear map substituted into a slot, an endomorphism (a 1-linear map,
-    `endo_to_map`) precomposed into a slot (inner) or applied to the output
+    a bilinear map substituted into a slot, an endomorphism (a 1-linear map)
+    precomposed into a slot (inner) or applied to the output
     (outer, slot 0), the product applied on either side of the output
     (`compose(alg.mu, 1, m)` is x_1 m(x_2 ..)), a coordinate vector (a
     0-linear map, `vector_map`) multiplied in on either side
@@ -434,19 +435,18 @@ def vector_map(dim: int, x) -> MultiMap:
     return MultiMap(0, dim, {(): x})
 
 
-def endo_to_map(alg_dim: int, m: Matrix) -> MultiMap:
-    """Column-convention endomorphism as a 1-linear map: e_j -> column j."""
-    if m.rows != alg_dim or m.cols != alg_dim:
+def endo_to_map(f) -> MultiMap:
+    """An endomorphism as a 1-linear map: a 1-linear map is returned as it
+    is, and a square column-convention `Matrix` becomes e_j -> column j.
+    Endomorphisms are 1-linear maps throughout the package; this is where a
+    `Matrix` given by a caller is converted, once, on entry."""
+    if isinstance(f, MultiMap):
+        if f.arity != 1:
+            raise ValueError("an endomorphism is a 1-linear map")
+        return f
+    if f.rows != f.cols:
         raise ValueError("endomorphism must be dim x dim")
-    return MultiMap(1, alg_dim, {(j,): m.col(j) for j in range(alg_dim)})
-
-
-def map_to_endo(m: MultiMap) -> Matrix:
-    """A 1-linear map as a column-convention matrix: column j is m(e_j)."""
-    if m.arity != 1:
-        raise ValueError("needs arity 1")
-    cols = [m(j) for j in range(m.dim)]
-    return Matrix.from_rows([[col[k] for col in cols] for k in range(m.dim)])
+    return MultiMap(1, f.cols, {(j,): f.col(j) for j in range(f.cols)})
 
 
 # ---------------------------------------------------------------------------
@@ -548,27 +548,30 @@ def is_jordan(alg: FinAlg) -> bool:
     return is_commutative(alg) and satisfies_jordan_identity(alg)
 
 
-def derivation_defect(alg: FinAlg, f: Matrix) -> MultiMap:
-    """f(x)y + x f(y) - f(xy); f in column convention."""
+def derivation_defect(alg: FinAlg, f) -> MultiMap:
+    """f(x)y + x f(y) - f(xy) for an endomorphism f (a 1-linear map or a
+    column-convention `Matrix`, see `endo_to_map`)."""
     mu = alg.mu
-    fm = endo_to_map(alg.dim, f)
+    fm = endo_to_map(f)
+    if fm.dim != alg.dim:
+        raise ValueError("endomorphism must be dim x dim")
     return contract(2, alg.dim, ((1, mu, 0, fm), (1, mu, 1, fm), (-1, fm, 0, mu)))
 
 
-def is_derivation(alg: FinAlg, f: Matrix) -> bool:
-    """f(x)y + x f(y) = f(xy) on all basis pairs; f in column convention."""
+def is_derivation(alg: FinAlg, f) -> bool:
+    """f(x)y + x f(y) = f(xy) on all basis pairs."""
     return derivation_defect(alg, f).is_zero()
 
 
-def commutator_endo(alg: FinAlg, x) -> Matrix:
+def commutator_endo(alg: FinAlg, x) -> MultiMap:
     """The endomorphism y -> x y - y x of a coordinate vector x, as a
-    column-convention matrix."""
+    1-linear map."""
     v = vector_map(alg.dim, x)
-    return map_to_endo(contract(1, alg.dim, ((1, alg.mu, 0, v), (-1, alg.mu, 1, v))))
+    return contract(1, alg.dim, ((1, alg.mu, 0, v), (-1, alg.mu, 1, v)))
 
 
-def inner_derivation_candidate(alg: FinAlg, i: int) -> Matrix:
-    """The endomorphism x -> e_i x - x e_i as a column-convention matrix."""
+def inner_derivation_candidate(alg: FinAlg, i: int) -> MultiMap:
+    """The endomorphism x -> e_i x - x e_i as a 1-linear map."""
     return commutator_endo(alg, alg.basis_vector(i))
 
 
@@ -718,24 +721,29 @@ def algebra_to_json(alg: FinAlg) -> dict:
 
 
 def multimap_from_json(doc, dim: int, arity: int = 2) -> MultiMap:
-    """Nested arrays of 'p/q' strings, indexed input-first then output."""
-
-    def rec(node, depth):
-        if depth == arity:
-            if not isinstance(node, list) or len(node) != dim:
-                raise AlgebraFormatError("output vector has wrong length")
-            return [_parse_rational(x) for x in node]
-        if not isinstance(node, list) or len(node) != dim:
-            raise AlgebraFormatError("tensor level has wrong length")
-        return [rec(child, depth + 1) for child in node]
-
-    tensor = rec(doc, 0)
+    """Nested arrays of 'p/q' strings, indexed input-first then output, read
+    in one pass: each level must be a list of length dim, every cell is
+    parsed (a malformed zero is rejected too), and each output vector is
+    kept as the sparse row of its nonzero coefficients."""
     values = {}
-    for idx in itertools.product(range(dim), repeat=arity):
-        node = tensor
-        for i in idx:
-            node = node[i]
-        values[idx] = tuple(node)
+
+    def rec(node, idx):
+        if not isinstance(node, list) or len(node) != dim:
+            level = "output vector" if len(idx) == arity else "tensor level"
+            raise AlgebraFormatError(f"{level} has wrong length")
+        if len(idx) < arity:
+            for i, child in enumerate(node):
+                rec(child, idx + (i,))
+            return
+        row = {}
+        for k, x in enumerate(node):
+            q = _parse_rational(x)
+            if q:
+                row[k] = q
+        if row:
+            values[idx] = row
+
+    rec(doc, ())
     return MultiMap(arity, dim, values)
 
 

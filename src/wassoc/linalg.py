@@ -1,19 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Every dimension, rank and span fact computed by this package reduces to one
-forward elimination, so the routines here are exact.  `Matrix` entries are
-`fractions.Fraction` (plain ints are accepted and promoted; bools and floats
-are rejected).  The elimination is fraction-free: each row is cleared of
-denominators and stored as a sparse `{column: int}` row divided by the gcd of
-its entries, and rows are combined as `a*row - b*pivot` with coprime `a, b`.
-`rank` and `sparse_rank` (integer rows given directly as `{column: int}`
-dicts) stop there.  `sparse_rref` takes sparse rational rows
-(`{column: int | Fraction}` plus a column count), back-substitutes and
-divides the pivot rows out into sparse `Fraction` rows; `rref` is the thin
-wrapper that feeds it the rows of a `Matrix`, and `sparse_reduce` (dense
-form: `reduce_modulo`) takes normal forms modulo its result.  The result is
-still the unique reduced row-echelon form over Q, so reduced forms, kernel
-bases and report output do not depend on how the elimination proceeds.
+forward elimination, so the routines here are exact.  The elimination is
+fraction-free: each row is cleared of denominators and stored as a sparse
+`{column: int}` row divided by the gcd of its entries, and rows are combined
+as `a*row - b*pivot` with coprime `a, b`.  `sparse_rank` (integer rows given
+as `{column: int}` dicts) stops there.  `sparse_rref` takes sparse rational
+rows (`{column: int | Fraction}` plus a column count), back-substitutes and
+divides the pivot rows out into sparse `Fraction` rows: the unique reduced
+row-echelon form over Q, so a span is its RREF rows and two spans are equal
+iff those rows are.  `sparse_reduce` takes normal forms modulo such rows (a
+vector lies in the span iff its normal form is empty) and `sparse_kernel`
+reads a null-space basis off them.
+
+`Matrix` is a dense input format with `Fraction` entries (plain ints are
+accepted and promoted; bools and floats are rejected).  `rref`, `rank`,
+`kernel_basis` and `in_span` take matrices or dense vectors and go straight
+to the sparse routines above.
 """
 
 from __future__ import annotations
@@ -125,15 +128,6 @@ class Matrix:
         zero = Fraction(0)
         return tuple(sum((a * x for a, x in zip(r, v) if a and x), zero) for r in self.entries)
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.rows == 0:
-            return self
-        if self.rows == 0:
-            return other
-        if self.cols != other.cols:
-            raise ValueError("column mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     g = gcd(*row.values())
@@ -179,6 +173,11 @@ def _cleared(row: Iterable[tuple[int, int | Fraction]]) -> dict[int, int]:
     nonzero = [(j, x) for j, x in row if x]
     den = lcm(*(x.denominator for _, x in nonzero))
     return {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+
+
+def _sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
+    """The rows of m as {col: Fraction} dicts of their nonzero entries."""
+    return [{j: x for j, x in enumerate(entries) if x} for entries in m.entries]
 
 
 def _integer_rows(m: Matrix):
@@ -242,8 +241,7 @@ def rref(m: Matrix) -> tuple[int, Matrix]:
     """
     if m.rows == 0:
         return 0, Matrix(0, 0, ())
-    sparse = [{j: x for j, x in enumerate(entries) if x} for entries in m.entries]
-    reduced = [dense_row(row, m.cols) for row in sparse_rref(sparse, m.cols)]
+    reduced = [dense_row(row, m.cols) for row in sparse_rref(_sparse_rows(m), m.cols)]
     rk = len(reduced)
     reduced += [tuple([Fraction(0)] * m.cols)] * (m.rows - rk)
     return rk, Matrix(m.rows, m.cols, tuple(reduced))
@@ -264,17 +262,6 @@ def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
         if row:
             nonzero.append(row)
     return len(_echelon(nonzero))
-
-
-def pivot_columns(reduced: Matrix, rk: int) -> list[int]:
-    pivots = []
-    col = 0
-    for r in range(rk):
-        while reduced[r, col] == 0:
-            col += 1
-        pivots.append(col)
-        col += 1
-    return pivots
 
 
 def sparse_kernel(reduced: list[dict[int, Fraction]], cols: int) -> list[Vector]:
@@ -300,14 +287,7 @@ def sparse_kernel(reduced: list[dict[int, Fraction]], cols: int) -> list[Vector]
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Basis of the right null space {x : m x = 0}; count = cols - rank."""
-    rk, red = rref(m)
-    rows = [{j: x for j, x in enumerate(red.row(r)) if x} for r in range(rk)]
-    return sparse_kernel(rows, m.cols)
-
-
-def row_space_basis(m: Matrix) -> list[Vector]:
-    rk, red = rref(m)
-    return [red.row(i) for i in range(rk)]
+    return sparse_kernel(sparse_rref(_sparse_rows(m), m.cols), m.cols)
 
 
 def sparse_reduce(reduced: list[dict[int, Fraction]], v: dict[int, int | Fraction]) -> dict[int, Fraction]:
@@ -328,17 +308,6 @@ def sparse_reduce(reduced: list[dict[int, Fraction]], v: dict[int, int | Fractio
     return out
 
 
-def reduce_modulo(reduced: Matrix, rk: int, v: Sequence) -> Vector:
-    """Normal form of v modulo the row space of `reduced`, an RREF of rank rk
-    as returned by `rref`: v minus the combination of its rows that clears
-    every pivot coordinate.  v lies in that row space iff the result is zero."""
-    v = vector(v)
-    if rk and len(v) != reduced.cols:
-        raise ValueError("length mismatch")
-    rows = [{j: x for j, x in enumerate(reduced.row(r)) if x} for r in range(rk)]
-    return dense_row(sparse_reduce(rows, dict(enumerate(v))), len(v))
-
-
 def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
     """True iff v lies in the rational span of the given vectors.
 
@@ -348,22 +317,5 @@ def in_span(v: Sequence, basis: Sequence[Sequence]) -> bool:
     basis = [vector(b) for b in basis]
     if any(len(b) != len(v) for b in basis):
         raise ValueError("vector lengths differ")
-    if all(x == 0 for x in v):
-        return True
-    if not basis:
-        return False
-    rk, red = rref(Matrix.from_rows(basis))
-    return not any(reduce_modulo(red, rk, v))
-
-
-def same_span(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    """True iff two families of vectors span the same subspace."""
-    ma = Matrix.from_rows([vector(x) for x in a])
-    mb = Matrix.from_rows([vector(x) for x in b])
-    if ma.cols != mb.cols:
-        raise ValueError("ambient dimensions differ")
-    ra, reda = rref(ma)
-    rb, redb = rref(mb)
-    if ra != rb:
-        return False
-    return [reda.row(i) for i in range(ra)] == [redb.row(i) for i in range(rb)]
+    rows = sparse_rref(({j: x for j, x in enumerate(b) if x} for b in basis), len(v))
+    return not sparse_reduce(rows, dict(enumerate(v)))

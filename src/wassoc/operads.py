@@ -5,8 +5,11 @@ Catalan(n-1) * n! (12 at arity 3, 120 at arity 4); its vectors are
 `MultilinearIdentity` values.  This module computes relation spans and their
 operadic consequences, the quadratic-duality pairing with annihilators, the
 dual dimensions in the associative word space, and generating-function
-arithmetic.  Relation spans are reduced from the identities' sparse rows by
-`linalg.sparse_rref`; `RelationSpace.basis` holds the dense RREF rows.
+arithmetic.  A relation span is the unique sparse RREF of the identities'
+rows (`linalg.sparse_rref`), so equal spans have equal `RelationSpace.rows`;
+membership is a normal form (`linalg.sparse_reduce`) and the annihilator a
+kernel (`linalg.sparse_kernel`).  The arity-4 dual relations are reduced the
+same way.
 """
 
 from __future__ import annotations
@@ -25,16 +28,7 @@ from .identities import (
     monomial_order,
     wa_expression,
 )
-from .linalg import (
-    Matrix,
-    Vector,
-    dense_row,
-    in_span,
-    kernel_basis,
-    row_space_basis,
-    sparse_kernel,
-    sparse_rref,
-)
+from .linalg import Matrix, Vector, sparse_kernel, sparse_reduce, sparse_rref
 from .symgroup import Perm, all_perms, sigma_basis
 
 
@@ -44,14 +38,15 @@ def free_dim(arity: int) -> int:
 
 @dataclass
 class RelationSpace:
-    """Subspace of the free arity-n component, stored as reduced row basis."""
+    """Subspace of the free arity-n component, stored as its sparse RREF
+    rows {column in `monomial_order(arity)`: Fraction}."""
 
     arity: int
-    basis: list[Vector]
+    rows: list[dict[int, Fraction]]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def quotient_dim(self) -> int:
         return free_dim(self.arity) - self.dim
@@ -59,16 +54,14 @@ class RelationSpace:
     def contains(self, e: MultilinearIdentity) -> bool:
         if e.arity != self.arity:
             raise ValueError("arity mismatch")
-        return in_span(e.coordinates(), self.basis)
+        return not sparse_reduce(self.rows, e.sparse_row())
 
 
 def span_of(vectors: list[MultilinearIdentity], arity: int) -> RelationSpace:
     """Span of arity-n identities, reduced from their sparse rows."""
     if any(v.arity != arity for v in vectors):
         raise ValueError("arity mismatch")
-    n = free_dim(arity)
-    reduced = sparse_rref([v.sparse_row() for v in vectors], n)
-    return RelationSpace(arity, [dense_row(row, n) for row in reduced])
+    return RelationSpace(arity, sparse_rref([v.sparse_row() for v in vectors], free_dim(arity)))
 
 
 def relation_closure(generator: MultilinearIdentity) -> RelationSpace:
@@ -104,10 +97,7 @@ def consequences(r: RelationSpace) -> RelationSpace:
     if r.arity != 3:
         raise ValueError("expected an arity-3 relation space")
     order = monomial_order(3)
-    gens3 = [
-        MultilinearIdentity(3, {key: q for key, q in zip(order, vec) if q})
-        for vec in r.basis
-    ]
+    gens3 = [MultilinearIdentity(3, {order[j]: q for j, q in row.items()}) for row in r.rows]
     return span_of(consequence_generators(gens3, "m"), 4)
 
 
@@ -142,15 +132,18 @@ def pairing_gram_matrix() -> Matrix:
 
 
 def annihilator(r: RelationSpace) -> RelationSpace:
-    """Orthogonal complement under the pairing; the pairing is nondegenerate
-    so dimensions add up to 12."""
+    """Orthogonal complement under the pairing.  The pairing is diagonal
+    with entries +-1, so w pairs to zero with every row iff w with each
+    coordinate scaled by its sign lies in the kernel of the rows; the
+    dimensions add up to 12."""
     if r.arity != 3:
         raise ValueError("annihilator is defined at arity 3")
-    gram = pairing_gram_matrix()
-    if not r.basis:
-        return full_free_space(3)
-    m = Matrix.from_rows(r.basis) @ gram
-    return RelationSpace(3, row_space_basis(Matrix.from_rows(kernel_basis(m))))
+    n = free_dim(3)
+    signs = [dual_pairing(m, m) for m in (monomial(*key) for key in monomial_order(3))]
+    kernel = sparse_kernel(r.rows, n)
+    return RelationSpace(
+        3, sparse_rref(({j: signs[j] * x for j, x in enumerate(v) if x} for v in kernel), n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +205,15 @@ def dual_arity4_generators() -> list[Vector]:
 
 @dataclass
 class DualArity4:
-    relation_matrix: Matrix
-    rank: int
+    """The span of the placements of R3 as its sparse RREF rows over the
+    24 words, and the kernel of those rows."""
+
+    rows: list[dict[int, Fraction]]
     kernel: list[Vector]
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
     @property
     def dim(self) -> int:
@@ -222,12 +221,12 @@ class DualArity4:
 
 
 def wass_dual_arity4() -> DualArity4:
-    """Relation matrix of the arity-4 dual component: rank 16 on the
-    24-dimensional word space, kernel of dimension 8.  (The published rank 18
-    and dimension 6 are refuted by this computation.)"""
-    m = Matrix.from_rows(dual_arity4_generators())
-    reduced = sparse_rref(({j: x for j, x in enumerate(row) if x} for row in m.entries), m.cols)
-    return DualArity4(relation_matrix=m, rank=len(reduced), kernel=sparse_kernel(reduced, m.cols))
+    """The arity-4 dual relations: rank 16 on the 24-dimensional word space,
+    kernel of dimension 8.  (The published rank 18 and dimension 6 are
+    refuted by this computation.)"""
+    n = len(all_perms(4))
+    rows = sparse_rref(({j: x for j, x in enumerate(g) if x} for g in dual_arity4_generators()), n)
+    return DualArity4(rows=rows, kernel=sparse_kernel(rows, n))
 
 
 def wass_dual_arity4_dim() -> int:

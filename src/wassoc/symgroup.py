@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, as_rational, in_span, rank, same_span
+from .linalg import as_rational, sparse_reduce, sparse_rref
 
 
 @dataclass(frozen=True, order=True)
@@ -205,6 +205,11 @@ class GroupAlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def sparse_row(self) -> dict[int, Fraction]:
+        """{coordinate in `sigma_basis(n)`: coefficient} of the nonzero terms."""
+        index = {p: i for i, p in enumerate(sigma_basis(self.n))}
+        return {index[p]: q for p, q in self.coeffs.items()}
+
     def to_vector(self) -> tuple[Fraction, ...]:
         basis = sigma_basis(self.n)
         return tuple(self.coeffs.get(p, Fraction(0)) for p in basis)
@@ -260,28 +265,27 @@ def orbit(v: GroupAlgebraElement) -> list[GroupAlgebraElement]:
     return [act(v, s) for s in sigma_basis(v.n)]
 
 
-def orbit_matrix(v: GroupAlgebraElement) -> Matrix:
-    return Matrix.from_rows([w.to_vector() for w in orbit(v)])
+def orbit_span(v: GroupAlgebraElement) -> list[dict[int, Fraction]]:
+    """The span of the orbit of v as its sparse RREF rows over the
+    coordinates of `sigma_basis(n)`; equal spans have equal rows."""
+    return sparse_rref([w.sparse_row() for w in orbit(v)], len(sigma_basis(v.n)))
 
 
 def orbit_span_dim(v: GroupAlgebraElement) -> int:
-    return rank(orbit_matrix(v))
+    return len(orbit_span(v))
 
 
 def in_orbit_span(w: GroupAlgebraElement, v: GroupAlgebraElement) -> bool:
     if w.n != v.n:
         raise ValueError("degree mismatch")
-    return in_span(w.to_vector(), [u.to_vector() for u in orbit(v)])
+    return not sparse_reduce(orbit_span(v), w.sparse_row())
 
 
 def relations_equivalent(v: GroupAlgebraElement, v2: GroupAlgebraElement) -> bool:
     """True iff the two orbit spans coincide as subspaces of K[S_n]."""
     if v.n != v2.n:
         raise ValueError("degree mismatch")
-    return same_span(
-        [u.to_vector() for u in orbit(v)],
-        [u.to_vector() for u in orbit(v2)],
-    )
+    return orbit_span(v) == orbit_span(v2)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from wassoc.finalg import (
     is_associative,
     is_commutative,
     is_nonassociative_poisson,
-    map_to_endo,
     polarize,
 )
 from wassoc.linalg import Matrix
@@ -359,8 +358,8 @@ def reference_gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> lis
     n = deformation.base.dim
     order = deformation.order
     ident = Matrix.identity(n)
-    h_terms = [ident] + list(g.h)
-    ginv_terms = [ident] + g.inverse_terms(order)
+    h_terms = [ident] + [map_to_endo(h) for h in g.h]
+    ginv_terms = [ident] + inverse_terms(g, order)
 
     def bilinear_endos(t, g1, g2):
         c1 = [g1.col(j) for j in range(n)]
@@ -435,12 +434,26 @@ def gauge_cases(ring, rng):
     ]
 
 
+def map_to_endo(m: MultiMap) -> Matrix:
+    """A 1-linear map as a column-convention matrix: column j is m(e_j)."""
+    assert m.arity == 1
+    cols = [m(j) for j in range(m.dim)]
+    return Matrix.from_rows([[col[k] for col in cols] for k in range(m.dim)])
+
+
+def inverse_terms(g: GaugeTransform, order: int) -> list[Matrix]:
+    """Terms g_1..g_order of the truncated series inverse of f_t, as
+    column-convention matrices."""
+    return [map_to_endo(m) for m in g.inverse_maps(order)[1:]]
+
+
 def reference_inverse_terms(g: GaugeTransform, order: int) -> list[Matrix]:
     """The dense Matrix recurrence g_k = -h_k - sum_{i<k} h_i g_{k-i}."""
-    n = g.h[0].rows
+    h = [map_to_endo(m) for m in g.h]
+    n = h[0].rows
 
     def term(k):
-        return g.h[k - 1] if 1 <= k <= len(g.h) else Matrix.zero(n, n)
+        return h[k - 1] if 1 <= k <= len(h) else Matrix.zero(n, n)
 
     out = []
     for k in range(1, order + 1):
@@ -460,10 +473,10 @@ def test_inverse_series_matches_matrix_recurrence(rng):
                 random_fraction_gauge(n, order, rng, zero_orders=(1,)),
             ):
                 for length in (order, order + 2):
-                    assert g.inverse_terms(length) == reference_inverse_terms(g, length)
+                    assert inverse_terms(g, length) == reference_inverse_terms(g, length)
                 maps = g.inverse_maps(order)
                 assert maps[0] == identity_map(n)
-                assert [map_to_endo(m) for m in maps[1:]] == g.inverse_terms(order)
+                assert [map_to_endo(m) for m in maps[1:]] == inverse_terms(g, order)
 
 
 def test_gauge_and_defect_match_dense_reference(ring, rng):

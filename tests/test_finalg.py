@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -391,6 +392,57 @@ def test_multimap_json_roundtrip(rng):
     doc = multimap_to_json(m)
     back = multimap_from_json(doc, 3, arity=2)
     assert back == m
+
+
+def reference_multimap_from_json(doc, dim: int, arity: int = 2) -> MultiMap:
+    """The dense route `multimap_from_json` replaced: a nested tensor of
+    parsed cells, then every index tuple as a dense output vector."""
+
+    def rec(node, depth):
+        if depth == arity:
+            if not isinstance(node, list) or len(node) != dim:
+                raise AlgebraFormatError("output vector has wrong length")
+            return [_parse_rational(x) for x in node]
+        if not isinstance(node, list) or len(node) != dim:
+            raise AlgebraFormatError("tensor level has wrong length")
+        return [rec(child, depth + 1) for child in node]
+
+    tensor = rec(doc, 0)
+    values = {}
+    for idx in itertools.product(range(dim), repeat=arity):
+        node = tensor
+        for i in idx:
+            node = node[i]
+        values[idx] = tuple(node)
+    return MultiMap(arity, dim, values)
+
+
+def _json_outcome(read, doc, dim, arity):
+    try:
+        m = read(doc, dim, arity)
+    except AlgebraFormatError as exc:
+        return "error", str(exc)
+    return "map", m.coeffs
+
+
+def test_multimap_from_json_matches_dense_reference(rng):
+    docs = []
+    for arity, dim in ((0, 3), (1, 2), (2, 3), (3, 2)):
+        for _ in range(3):
+            doc = multimap_to_json(random_fraction_multimap(arity, dim, rng)) if arity else [
+                rng.choice(["0/1", "-3/4", "2/1", "0"]) for _ in range(dim)
+            ]
+            docs.append((doc, dim, arity))
+    # a malformed zero, a short output vector and a short tensor level
+    docs.append(([["0/1", "0/x"], ["1/1", "0/1"]], 2, 1))
+    docs.append(([["0/1", "1/1"], ["1/1"]], 2, 1))
+    docs.append(([[["1/1", "0/1"], ["0/1", "0/1"]]], 2, 2))
+    docs.append(([["0/1", 0.0], ["1/1", "0/1"]], 2, 1))
+    for doc, dim, arity in docs:
+        want = _json_outcome(reference_multimap_from_json, doc, dim, arity)
+        assert _json_outcome(multimap_from_json, doc, dim, arity) == want
+        if want[0] == "map":
+            assert all(row and all(row.values()) for row in want[1].values())
 
 
 def test_multimap_permute_inputs():

@@ -294,7 +294,7 @@ def reduced_spans(*families):
 
 def basis_identities(space) -> list[MultilinearIdentity]:
     order = monomial_order(space.arity)
-    return [MultilinearIdentity(space.arity, {k: q for k, q in zip(order, v) if q}) for v in space.basis]
+    return [MultilinearIdentity(space.arity, {order[j]: q for j, q in row.items()}) for row in space.rows]
 
 
 def assert_same_consequences(relations, op: str) -> list[MultilinearIdentity]:
