@@ -28,7 +28,7 @@ from .identities import (
     lie_admissible_expression,
     wa_expression,
 )
-from .linalg import as_rational
+from .linalg import as_rational, dense_row
 from .report import DEFAULT_SEED, build_report
 
 USAGE_ERROR = 2
@@ -213,7 +213,7 @@ def cmd_delta3(args) -> int:
         "unknown_labels": [unknown_label(f, p) for f, p in sys_.unknowns],
     }
     if args.kernel:
-        doc["kernel"] = [[str(x) for x in v] for v in sys_.kernel]
+        doc["kernel"] = [[str(x) for x in dense_row(v, sys_.columns)] for v in sys_.kernel]
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -234,6 +234,9 @@ def cmd_deform(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.order is not None:
+        if args.order < 0:
+            print(f"error: --order must be nonnegative, not {args.order}", file=sys.stderr)
+            return USAGE_ERROR
         if args.order > deformation.order:
             print(
                 f"error: file carries only {deformation.order} orders",
@@ -273,7 +276,12 @@ def main(argv=None) -> int:
         prog="wassoc",
         description="exact computations with weakly associative algebras",
     )
-    default_seed = int(os.environ.get("WASSOC_SEED", DEFAULT_SEED))
+    env_seed = os.environ.get("WASSOC_SEED")
+    try:
+        default_seed = DEFAULT_SEED if env_seed is None else int(env_seed)
+    except ValueError:
+        print(f"error: WASSOC_SEED must be an integer, not {env_seed!r}", file=sys.stderr)
+        return USAGE_ERROR
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"

@@ -6,9 +6,9 @@ Three families live here:
 * the weakly associative operators `wa_delta0..wa_delta2` (degree 2 is the
   Hochschild operator precomposed with the slot symmetrization Id + c - (12))
   together with the parametric degree-3 operator `wa_delta3`, whose admissible
-  coefficient vectors form the kernel of the linear system assembled by
-  `build_delta3_system` from `("m", "f")` trees: the formal product and
-  cochain symbol, enumerated and grafted by `identities`;
+  coefficient rows {unknown: coefficient} form the kernel of the linear
+  system assembled by `build_delta3_system` from `("m", "f")` trees: the
+  formal product and cochain symbol, enumerated and grafted by `identities`;
 * the Lichnerowicz operator on skew multiderivations of a (possibly
   nonassociative) Poisson pair.
 """
@@ -43,7 +43,7 @@ from .identities import (
     shapes,
     wa_expression,
 )
-from .linalg import Vector, sparse_kernel, sparse_reduce, sparse_rref
+from .linalg import sparse_kernel, sparse_reduce, sparse_rref
 from .symgroup import (
     C3,
     T12,
@@ -121,8 +121,8 @@ def wa_delta0(ctx: CochainContext, x) -> MultiMap:
 
 
 def wa_delta1(ctx: CochainContext, f) -> MultiMap:
-    """f(x)y + x f(y) - f(xy) for an endomorphism f (a 1-linear map, or a
-    column-convention `Matrix`, see `finalg.endo_to_map`)."""
+    """f(x)y + x f(y) - f(xy) for an endomorphism f (a 1-linear map, or any
+    endomorphism `finalg.endo_to_map` converts)."""
     return derivation_defect(ctx.alg, f)
 
 
@@ -335,7 +335,7 @@ class Delta3System:
     """The degree-3 ansatz system: its size as assembled (one equation per
     free monomial, one unknown per ansatz term), the rank of the consequence
     span, and the system reduced modulo that span, as sparse rows
-    {unknown: coefficient}, with its kernel."""
+    {unknown: coefficient}, with its kernel in the same form."""
 
     assembled_rows: int                 # 360 free monomials
     columns: int                        # 120 unknowns
@@ -343,7 +343,7 @@ class Delta3System:
     monomials: list = field(repr=False)
     consequence_dim: int = 0
     reduced_rows: list[dict[int, Fraction]] = field(default_factory=list, repr=False)
-    kernel: list[Vector] = field(default_factory=list)
+    kernel: list[dict[int, Fraction]] = field(default_factory=list)
 
     @property
     def kernel_dim(self) -> int:
@@ -353,7 +353,7 @@ class Delta3System:
 def build_delta3_system() -> Delta3System:
     """Assemble the 360-equation, 120-unknown system and reduce it modulo the
     consequence span; the kernel of the reduced rows is the space of
-    admissible degree-3 coboundary coefficient vectors."""
+    admissible degree-3 coboundary coefficient rows."""
     basis = _free_basis4()
     index = {mono: i for i, mono in enumerate(basis)}
     nrows = len(basis)
@@ -386,15 +386,16 @@ def build_delta3_system() -> Delta3System:
     )
 
 
-def wa_delta3(ctx: CochainContext, phi3: MultiMap, coeffs) -> MultiMap:
-    """Degree-3 operator for a chosen coefficient vector (indexed like
-    `delta3_unknowns()`); every coefficient must be an int or a Fraction."""
+def wa_delta3(ctx: CochainContext, phi3: MultiMap, coeffs: dict) -> MultiMap:
+    """Degree-3 operator for a chosen coefficient row {unknown: q}, each
+    unknown an int position in `delta3_unknowns()` and each q an int or a
+    Fraction (a kernel row of `build_delta3_system` as it is)."""
     if phi3.arity != 3:
         raise ValueError("needs arity 3")
     unknowns = delta3_unknowns()
-    if len(coeffs) != len(unknowns):
-        raise ValueError("coefficient vector must have 120 entries")
-    coeffs = [_exact(q) for q in coeffs]
+    if any(type(j) is not int or not 0 <= j < len(unknowns) for j in coeffs):
+        raise ValueError(f"coefficient row keys must be unknowns in range({len(unknowns)})")
+    coeffs = {j: _exact(q) for j, q in coeffs.items()}
     mu = ctx.alg.mu
     family = {
         "a": compose(mu, 1, phi3),  # x1 f(x2, x3, x4)
@@ -406,17 +407,18 @@ def wa_delta3(ctx: CochainContext, phi3: MultiMap, coeffs) -> MultiMap:
     return linear_combination(
         4,
         phi3.dim,
-        ((q, family[fam].permute_inputs(pi)) for q, (fam, pi) in zip(coeffs, unknowns) if q),
+        ((q, family[unknowns[j][0]].permute_inputs(unknowns[j][1])) for j, q in coeffs.items()),
     )
 
 
-def delta3_relabel_coeffs(coeffs, s: Perm):
-    """Action of precomposing the assembled operator with a slot permutation:
-    (fam, pi) -> (fam, s . pi).  Solutions are stable under it."""
+def delta3_relabel_coeffs(coeffs: dict, s: Perm) -> dict:
+    """Action of precomposing the assembled operator with a slot permutation
+    on a coefficient row: (fam, pi) -> (fam, s . pi).  Solutions are stable
+    under it."""
     unknowns = delta3_unknowns()
     pos = {u: i for i, u in enumerate(unknowns)}
-    out = [0] * len(unknowns)
-    for q, (fam, pi) in zip(coeffs, unknowns):
-        target = (fam, tuple(s(p) for p in pi))
-        out[pos[target]] += q
-    return tuple(out)
+    out = {}
+    for j, q in coeffs.items():
+        fam, pi = unknowns[j]
+        out[pos[(fam, tuple(s(p) for p in pi))]] = q
+    return out

@@ -92,11 +92,7 @@ def wa_defect(deformation: TruncatedDeformation, k: int) -> MultiMap:
 
 
 def is_wa_deformation(deformation: TruncatedDeformation) -> bool:
-    if not is_weakly_associative(deformation.base):
-        return False
-    return all(
-        wa_defect(deformation, k).is_zero() for k in range(1, deformation.order + 1)
-    )
+    return is_weakly_associative(deformation.base) and first_failing_order(deformation) is None
 
 
 def first_failing_order(deformation: TruncatedDeformation):
@@ -170,7 +166,7 @@ def quantization(deformation: TruncatedDeformation) -> QuantizationReport:
 @dataclass
 class GaugeTransform:
     """f_t = Id + t h_1 + ... + t^N h_N.  Each h_i is an endomorphism, held
-    as a 1-linear map; a column-convention `Matrix` is converted on entry
+    as a 1-linear map; any other endomorphism is converted on entry
     (`finalg.endo_to_map`)."""
 
     h: list[MultiMap]

@@ -80,8 +80,9 @@ class FinAlg:
             },
         )
 
-    def basis_vector(self, i: int) -> tuple:
-        return tuple(1 if k == i else 0 for k in range(self.dim))
+    def basis_vector(self, i: int) -> dict[int, int]:
+        """The coordinate row {i: 1} of the basis vector e_(i+1)."""
+        return {i: 1}
 
     def opposite(self) -> "FinAlg":
         return FinAlg.from_map(self.mu.transpose_pair())
@@ -549,8 +550,8 @@ def is_jordan(alg: FinAlg) -> bool:
 
 
 def derivation_defect(alg: FinAlg, f) -> MultiMap:
-    """f(x)y + x f(y) - f(xy) for an endomorphism f (a 1-linear map or a
-    column-convention `Matrix`, see `endo_to_map`)."""
+    """f(x)y + x f(y) - f(xy) for an endomorphism f (a 1-linear map, or any
+    endomorphism `endo_to_map` converts)."""
     mu = alg.mu
     fm = endo_to_map(f)
     if fm.dim != alg.dim:

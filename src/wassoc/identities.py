@@ -15,11 +15,11 @@ The associator, the weak-associativity expression, flexibility, Lie
 admissibility and the Leibniz expression all live here, and the
 symmetric-group algebra acts by relabeling.  The coordinate order of the
 one-operation monomials of each arity (`monomial_order`) and its index are
-built once; an identity is ranked as its sparse row (`sparse_row`,
-{column: coefficient}) through `linalg.sparse_rref`, and `coordinates` gives
-the dense vector.  The constructor is the only validation: results of
-arithmetic, relabeling and grafting are built from validated identities by
-`_trusted`, which only drops zero coefficients.
+built once; an identity's coordinates are its sparse row (`sparse_row`,
+{column: coefficient}), ranked through `linalg.sparse_rref`.  The
+constructor is the only validation: results of arithmetic, relabeling and
+grafting are built from validated identities by `_trusted`, which only drops
+zero coefficients.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def shapes(n: int, ops: tuple[str, ...] = ("m",)) -> tuple:
 def monomial_order(arity: int) -> tuple[tuple, ...]:
     """Canonical (shape, labels) order of the free arity-n component: shapes
     in canonical order, labelings in the group-basis order.  Position i is
-    coordinate i of `MultilinearIdentity.coordinates` and column i of
-    `MultilinearIdentity.sparse_row`."""
+    column i of `MultilinearIdentity.sparse_row`."""
     return tuple((shape, p.images) for shape in shapes(arity) for p in sigma_basis(arity))
 
 
@@ -112,7 +111,7 @@ def shape_str(shape: Shape, labels: Iterable[int]) -> str:
 class MultilinearIdentity:
     """Rational combination of (tree, labeling) monomials of one arity.
 
-    `coordinates` and `sparse_row` cover the one-operation ("m") monomials
+    `sparse_row` covers the one-operation ("m") monomials
     of `monomial_order`; trees with other operations take part in
     arithmetic, relabeling, grafting and printing only."""
 
@@ -163,18 +162,6 @@ class MultilinearIdentity:
 
     def coefficient(self, shape: Shape, labels: Iterable[int]) -> Fraction:
         return self.coeffs.get((shape, tuple(labels)), Fraction(0))
-
-    def monomial_basis(self) -> list[tuple]:
-        """Canonical (shape, labels) order of the full arity-n component, as
-        in `monomial_order`."""
-        return list(monomial_order(self.arity))
-
-    def coordinates(self) -> tuple[Fraction, ...]:
-        index = _monomial_index(self.arity)
-        out = [Fraction(0)] * len(index)
-        for key, q in self.coeffs.items():
-            out[index[key]] = q
-        return tuple(out)
 
     def sparse_row(self) -> dict[int, Fraction]:
         """The nonzero coordinates as {position in `monomial_order`: coefficient}."""

@@ -11,12 +11,13 @@ divides the pivot rows out into sparse `Fraction` rows: the unique reduced
 row-echelon form over Q, so a span is its RREF rows and two spans are equal
 iff those rows are.  `sparse_reduce` takes normal forms modulo such rows (a
 vector lies in the span iff its normal form is empty) and `sparse_kernel`
-reads a null-space basis off them.
+reads a null-space basis off them, as sparse rows too.
 
 `Matrix` is a dense input format with `Fraction` entries (plain ints are
 accepted and promoted; bools and floats are rejected).  `rref`, `rank`,
 `kernel_basis` and `in_span` take matrices or dense vectors and go straight
-to the sparse routines above.
+to the sparse routines above; `rref` and `kernel_basis` densify their
+results with `dense_row`.
 """
 
 from __future__ import annotations
@@ -264,30 +265,28 @@ def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     return len(_echelon(nonzero))
 
 
-def sparse_kernel(reduced: list[dict[int, Fraction]], cols: int) -> list[Vector]:
+def sparse_kernel(reduced: list[dict[int, Fraction]], cols: int) -> list[dict[int, Fraction]]:
     """Basis of the null space of sparse RREF rows as returned by
-    `sparse_rref`, over `cols` columns: for each non-pivot column f in
-    order, the vector with 1 at f and minus entry f of each row at that
-    row's pivot column."""
+    `sparse_rref`, over `cols` columns, as sparse rows: for each non-pivot
+    column f in order, the row with 1 at f and minus entry f of each RREF
+    row at that row's pivot column.  Those pivots precede f in increasing
+    order, so the keys are in column order."""
     leads = [next(iter(row)) for row in reduced]
     pivot_set = set(leads)
     basis = []
     for f in range(cols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * cols
+        v = {lead: -row[f] for lead, row in zip(leads, reduced) if row.get(f)}
         v[f] = Fraction(1)
-        for lead, row in zip(leads, reduced):
-            x = row.get(f)
-            if x:
-                v[lead] = -x
-        basis.append(tuple(v))
+        basis.append(v)
     return basis
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Basis of the right null space {x : m x = 0}; count = cols - rank."""
-    return sparse_kernel(sparse_rref(_sparse_rows(m), m.cols), m.cols)
+    kernel = sparse_kernel(sparse_rref(_sparse_rows(m), m.cols), m.cols)
+    return [dense_row(v, m.cols) for v in kernel]
 
 
 def sparse_reduce(reduced: list[dict[int, Fraction]], v: dict[int, int | Fraction]) -> dict[int, Fraction]:

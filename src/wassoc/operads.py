@@ -8,8 +8,10 @@ dual dimensions in the associative word space, and generating-function
 arithmetic.  A relation span is the unique sparse RREF of the identities'
 rows (`linalg.sparse_rref`), so equal spans have equal `RelationSpace.rows`;
 membership is a normal form (`linalg.sparse_reduce`) and the annihilator a
-kernel (`linalg.sparse_kernel`).  The arity-4 dual relations are reduced the
-same way.
+kernel (`linalg.sparse_kernel`).  The arity-4 dual relations are sparse word
+rows over the 24 words of `all_perms(4)` (lex order, the `sigma_basis(4)`
+order, so a group-algebra element's `sparse_row` is its word row), reduced
+the same way; every kernel is a list of sparse rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .identities import (
     monomial_order,
     wa_expression,
 )
-from .linalg import Matrix, Vector, sparse_kernel, sparse_reduce, sparse_rref
+from .linalg import sparse_kernel, sparse_reduce, sparse_rref
 from .symgroup import Perm, all_perms, sigma_basis
 
 
@@ -124,11 +126,13 @@ def dual_pairing(u: MultilinearIdentity, w: MultilinearIdentity) -> Fraction:
     return total
 
 
-def pairing_gram_matrix() -> Matrix:
+def pairing_gram_matrix() -> list[dict[int, Fraction]]:
+    """The Gram matrix of the pairing on `monomial_order(3)` as sparse rows
+    {column: nonzero pairing}."""
     basis = [monomial(*key) for key in monomial_order(3)]
-    return Matrix.from_rows(
-        [[dual_pairing(u, w) for w in basis] for u in basis]
-    )
+    return [
+        {j: q for j, w in enumerate(basis) if (q := dual_pairing(u, w))} for u in basis
+    ]
 
 
 def annihilator(r: RelationSpace) -> RelationSpace:
@@ -142,7 +146,7 @@ def annihilator(r: RelationSpace) -> RelationSpace:
     signs = [dual_pairing(m, m) for m in (monomial(*key) for key in monomial_order(3))]
     kernel = sparse_kernel(r.rows, n)
     return RelationSpace(
-        3, sparse_rref(({j: signs[j] * x for j, x in enumerate(v) if x} for v in kernel), n)
+        3, sparse_rref(({j: signs[j] * x for j, x in v.items()} for v in kernel), n)
     )
 
 
@@ -177,18 +181,16 @@ def r3_terms(u: Word, v: Word, w: Word) -> dict[Word, int]:
     return {k: v for k, v in acc.items() if v != 0}
 
 
-def _word_vector(terms: dict[Word, int], letters: int) -> Vector:
-    basis = [p.images for p in all_perms(letters)]
-    index = {w: i for i, w in enumerate(basis)}
-    out = [Fraction(0)] * len(basis)
-    for w, c in terms.items():
-        out[index[w]] += c
-    return tuple(out)
+def _word_rows(combinations: list[dict[Word, int]]) -> list[dict[int, int]]:
+    """Word combinations in four letters as sparse rows {position of the
+    word in `all_perms(4)`: coefficient}."""
+    index = {p.images: i for i, p in enumerate(all_perms(4))}
+    return [{index[w]: c for w, c in terms.items()} for terms in combinations]
 
 
-def dual_arity4_generators() -> list[Vector]:
-    """Every placement of R3 among four letters: one slot a two-letter word
-    (three positions), or an outer letter on either side."""
+def dual_arity4_generators() -> list[dict[int, int]]:
+    """Every placement of R3 among four letters, as a word row: one slot a
+    two-letter word (three positions), or an outer letter on either side."""
     gens: list[dict[Word, int]] = []
     letters = (1, 2, 3, 4)
     for assign in itertools.permutations(letters):
@@ -200,16 +202,16 @@ def dual_arity4_generators() -> list[Vector]:
         a, b, c, d = assign
         gens.append({_cat((a,), w): q for w, q in r3_terms((b,), (c,), (d,)).items()})
         gens.append({_cat(w, (a,)): q for w, q in r3_terms((b,), (c,), (d,)).items()})
-    return [_word_vector(g, 4) for g in gens]
+    return _word_rows(gens)
 
 
 @dataclass
 class DualArity4:
     """The span of the placements of R3 as its sparse RREF rows over the
-    24 words, and the kernel of those rows."""
+    24 words, and the kernel of those rows as sparse rows."""
 
     rows: list[dict[int, Fraction]]
-    kernel: list[Vector]
+    kernel: list[dict[int, Fraction]]
 
     @property
     def rank(self) -> int:
@@ -225,7 +227,7 @@ def wass_dual_arity4() -> DualArity4:
     kernel of dimension 8.  (The published rank 18 and dimension 6 are
     refuted by this computation.)"""
     n = len(all_perms(4))
-    rows = sparse_rref(({j: x for j, x in enumerate(g) if x} for g in dual_arity4_generators()), n)
+    rows = sparse_rref(dual_arity4_generators(), n)
     return DualArity4(rows=rows, kernel=sparse_kernel(rows, n))
 
 
@@ -233,11 +235,11 @@ def wass_dual_arity4_dim() -> int:
     return wass_dual_arity4().dim
 
 
-def reduced_placement_matrix() -> Matrix:
-    """The 24 x 24 matrix of middle placements R3(x, yz, w) (16 rows after
-    the syzygy reductions) plus outer products x R3(y,z,w) (8 rows): a square
-    system of rank 16 with an 8-dimensional kernel.  (The published rank 18,
-    kernel 6, is refuted by this computation.)"""
+def reduced_placement_matrix() -> list[dict[int, int]]:
+    """The 24 x 24 system, as word rows, of middle placements R3(x, yz, w)
+    (16 rows after the syzygy reductions) plus outer products x R3(y,z,w)
+    (8 rows): a square system of rank 16 with an 8-dimensional kernel.  (The
+    published rank 18, kernel 6, is refuted by this computation.)"""
     rows: list[dict[Word, int]] = []
     listed = [
         (1, (2, 3), 4), (2, (1, 3), 4), (3, (2, 1), 4), (4, (2, 3), 1),
@@ -252,12 +254,7 @@ def reduced_placement_matrix() -> Matrix:
         b, c, d = rest
         rows.append({_cat((a,), w): q for w, q in r3_terms((b,), (c,), (d,)).items()})
         rows.append({_cat((a,), w): q for w, q in r3_terms((c,), (b,), (d,)).items()})
-    return Matrix.from_rows([_word_vector(r, 4) for r in rows])
-
-
-def word_vector_from_group(v) -> Vector:
-    """Group-algebra element -> word-space vector via sigma -> x_{sigma(1)}..x_{sigma(n)}."""
-    return _word_vector({p.images: q for p, q in v.coeffs.items()}, v.n)
+    return _word_rows(rows)
 
 
 def r3_syzygies() -> dict[str, bool]:

@@ -210,10 +210,6 @@ class GroupAlgebraElement:
         index = {p: i for i, p in enumerate(sigma_basis(self.n))}
         return {index[p]: q for p, q in self.coeffs.items()}
 
-    def to_vector(self) -> tuple[Fraction, ...]:
-        basis = sigma_basis(self.n)
-        return tuple(self.coeffs.get(p, Fraction(0)) for p in basis)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

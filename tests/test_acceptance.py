@@ -50,7 +50,7 @@ from wassoc.finalg import (
     satisfies_jordan_identity,
 )
 from wassoc.freewa import build, dimension_sequence, enumerate_unordered_trees
-from wassoc.linalg import Matrix, dense_row, in_span, rank
+from wassoc.linalg import Matrix, dense_row, in_span, rank, sparse_rref
 from wassoc.operads import (
     annihilator,
     associativity_relation_space,
@@ -61,7 +61,6 @@ from wassoc.operads import (
     pairing_gram_matrix,
     wa_relation_space,
     wass_dual_arity4,
-    word_vector_from_group,
 )
 from wassoc.report import OMITTED, build_report
 from wassoc.symgroup import (
@@ -115,11 +114,10 @@ def test_criterion_02_operad_dimensions():
     # 16-dimensional relation space, so the published relations themselves
     # give dimension 8
     w1, w2 = dual4_word_vectors()
-    relabeled = [word_vector_from_group(u) for w in (w1, w2) for u in orbit(w)]
+    relabeled = [u.sparse_row() for w in (w1, w2) for u in orbit(w)]
     span_ok = (
-        rank(Matrix.from_rows(relabeled)) == 16
-        and rank(Matrix.from_rows(relabeled + dual_arity4_generators()))
-        == 16
+        len(sparse_rref(relabeled, 24)) == 16
+        and len(sparse_rref(relabeled + dual_arity4_generators(), 24)) == 16
     )
     rep = build_report(only="operad")
     by_id = {c.id: c for c in rep.checks}
@@ -160,7 +158,7 @@ def test_criterion_02_operad_dimensions():
 def test_criterion_03_duality():
     r = wa_relation_space()
     rp = annihilator(r)
-    gram_ok = rank(pairing_gram_matrix()) == 12
+    gram_ok = len(sparse_rref(pairing_gram_matrix(), 12)) == 12
     back = annihilator(rp)
     mutual_ok = (
         r.dim + rp.dim == 12

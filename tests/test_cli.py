@@ -288,6 +288,13 @@ MALFORMED_DEFORMATIONS = [
     {"terms": [GOOD_TERM]},
 ] + [{"base": doc, "terms": []} for doc in MALFORMED_ALGEBRAS]
 
+# Options that do not fit a valid one-term deformation document.
+MALFORMED_DEFORM_OPTIONS = [
+    ["--order", "-1"],
+    ["--order", "-3"],
+    ["--order", "2"],
+]
+
 # Wrong-typed values for each kind of node of a valid document.
 WRONG_VALUES = {
     dict: [[], "x", 2, None, True],
@@ -351,6 +358,19 @@ def test_malformed_documents_exit_2(tmp_path, capsys, rng):
         argv = ["deform", "--file", str(path)] if "base" in doc else [
             "check", "--algebra", str(path), "--property", "commutative"]
         assert main(argv) in (0, 1)
+    for options in MALFORMED_DEFORM_OPTIONS:
+        _assert_usage_error(["deform", "--file", str(path)] + options, capsys)
+    # order 0 checks only the base
+    assert main(["deform", "--file", str(path), "--order", "0", "--format", "json"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["order"] == 0
+
+
+def test_malformed_seed_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("WASSOC_SEED", "abc")
+    for argv in (["verify", "--only", "orbit"], ["verify", "--only", "orbit", "--seed", "3"]):
+        _assert_usage_error(argv, capsys)
+    monkeypatch.setenv("WASSOC_SEED", "3")
+    assert main(["verify", "--only", "orbit"]) == 0
 
 
 # One product entry in dimension 100000: the algebra is A (dim 2) plus

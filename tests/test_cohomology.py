@@ -42,7 +42,7 @@ from wassoc.corpus import (
 )
 from wassoc.finalg import FinAlg, MultiMap, evaluate
 from wassoc.identities import associator, wa_expression
-from wassoc.linalg import Matrix, in_span, vector
+from wassoc.linalg import Matrix, dense_row, in_span, vector
 
 
 def test_hochschild_square_zero_on_associative(rng):
@@ -229,7 +229,7 @@ def test_lichnerowicz_delta0():
     d0 = lichnerowicz_delta0(ctx, x)
     br = ctx.bracket
     for i in range(6):
-        assert d0(i) == reference_mul_vec(br, br.basis_vector(i), x)
+        assert d0(i) == reference_mul_vec(br, dense_row(br.basis_vector(i), 6), x)
 
 
 def _fraction_vector(n, rng):
@@ -239,10 +239,10 @@ def _fraction_vector(n, rng):
 def test_wa_delta0_matches_reference_mul_vec(wa_members, non_wa_members, rng):
     for _, alg in wa_members + non_wa_members:
         n = alg.dim
-        for x in [_fraction_vector(n, rng) for _ in range(2)] + [alg.basis_vector(n - 1)]:
+        for x in [_fraction_vector(n, rng) for _ in range(2)] + [dense_row(alg.basis_vector(n - 1), n)]:
             d0 = wa_delta0(CochainContext(alg), x)
             for j in range(n):
-                e = alg.basis_vector(j)
+                e = dense_row(alg.basis_vector(j), n)
                 want = tuple(
                     a - b
                     for a, b in zip(reference_mul_vec(alg, x, e), reference_mul_vec(alg, e, x))
@@ -257,7 +257,7 @@ def test_lichnerowicz_delta0_matches_reference_mul_vec(poisson_members, rng):
         for x in (_fraction_vector(n, rng), _fraction_vector(n, rng)):
             d0 = lichnerowicz_delta0(ctx, x)
             for i in range(n):
-                assert d0(i) == reference_mul_vec(bracket, bracket.basis_vector(i), x)
+                assert d0(i) == reference_mul_vec(bracket, dense_row(bracket.basis_vector(i), n), x)
 
 
 def reference_derivation_matrix(ring, images) -> Matrix:
@@ -443,7 +443,7 @@ def test_delta3_system_matches_dense_reference(delta3_system):
     assert densify(delta3_system.reduced_rows, 120) == reduced
     assert all(type(x) is Fraction for row in delta3_system.reduced_rows for x in row.values())
     kernel = reference_kernel_basis(reduced)
-    assert delta3_system.kernel == kernel and len(kernel) == 48
+    assert [dense_row(v, 120) for v in delta3_system.kernel] == kernel and len(kernel) == 48
 
 
 def test_delta3_kernel_reported(delta3_system):
@@ -451,17 +451,17 @@ def test_delta3_kernel_reported(delta3_system):
     reduced = densify(delta3_system.reduced_rows, 120)
     assert reduced.cols == 120
     for v in delta3_system.kernel[:8]:
-        assert all(x == 0 for x in reduced.apply(v))
+        assert all(x == 0 for x in reduced.apply(dense_row(v, 120)))
 
 
 def test_delta3_kernel_is_relabeling_stable(delta3_system, rng):
     from wassoc.symgroup import all_perms
 
-    kernel = [list(v) for v in delta3_system.kernel]
+    kernel = [dense_row(v, 120) for v in delta3_system.kernel]
     perms = all_perms(4)
-    for v in kernel[:6]:
+    for v in delta3_system.kernel[:6]:
         for s in (perms[1], perms[7], perms[23]):
-            w = delta3_relabel_coeffs(v, s)
+            w = dense_row(delta3_relabel_coeffs(v, s), 120)
             assert in_span(w, kernel)
 
 
@@ -489,7 +489,7 @@ def test_delta3_zero_coefficients_give_zero_operator(rng):
     alg = two_dim_family(6)
     ctx = CochainContext(alg)
     phi3 = random_multimap(3, alg.dim, rng, 2)
-    assert wa_delta3(ctx, phi3, [0] * 120).is_zero()
+    assert wa_delta3(ctx, phi3, dict.fromkeys(range(120), 0)).is_zero()
 
 
 @pytest.mark.parametrize("zero", [0.0, False], ids=["float", "bool"])
@@ -497,7 +497,17 @@ def test_delta3_rejects_inexact_zero_coefficients(zero, rng):
     alg = two_dim_family(6)
     phi3 = random_multimap(3, alg.dim, rng, 2)
     with pytest.raises(TypeError):
-        wa_delta3(CochainContext(alg), phi3, [zero] * 120)
+        wa_delta3(CochainContext(alg), phi3, dict.fromkeys(range(120), zero))
+
+
+@pytest.mark.parametrize(
+    "key", [120, -1, True, "0", 1.0, None], ids=["high", "negative", "bool", "str", "float", "none"]
+)
+def test_delta3_rejects_coefficient_keys_outside_the_unknowns(key, rng):
+    alg = two_dim_family(6)
+    phi3 = random_multimap(3, alg.dim, rng, 2)
+    with pytest.raises(ValueError):
+        wa_delta3(CochainContext(alg), phi3, {0: 1, key: 1})
 
 
 def test_delta3_unknown_labels():

@@ -8,6 +8,7 @@ from wassoc.homology import ChainComplex
 from wassoc.linalg import (
     Matrix,
     as_rational,
+    dense_row,
     in_span,
     kernel_basis,
     rank,
@@ -461,7 +462,7 @@ def reference_kernel_basis(m: Matrix) -> list:
 
 def test_sparse_kernel_matches_dense_reference(rng, delta3_system):
     d3_reduced = densify(delta3_system.reduced_rows, delta3_system.columns)
-    d4_relations = Matrix.from_rows(operads.dual_arity4_generators())
+    d4_relations = densify(operads.dual_arity4_generators(), 24)
     cases = [d3_reduced, d4_relations, Matrix.zero(2, 3)]
     for _ in range(30):
         cols = rng.randint(1, 7)
@@ -472,9 +473,29 @@ def test_sparse_kernel_matches_dense_reference(rng, delta3_system):
     for m in cases:
         expected = reference_kernel_basis(m)
         sparse = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-        assert sparse_kernel(sparse_rref(sparse, m.cols), m.cols) == expected
+        kernel = sparse_kernel(sparse_rref(sparse, m.cols), m.cols)
+        assert [dense_row(v, m.cols) for v in kernel] == expected
         assert kernel_basis(m) == expected
         assert all(type(x) is Fraction for v in expected for x in v)
-    assert delta3_system.kernel == reference_kernel_basis(d3_reduced)
+    assert [dense_row(v, 120) for v in delta3_system.kernel] == reference_kernel_basis(d3_reduced)
     d4 = operads.wass_dual_arity4()
-    assert (d4.rank, d4.kernel) == (16, reference_kernel_basis(d4_relations))
+    assert (d4.rank, [dense_row(v, 24) for v in d4.kernel]) == (16, reference_kernel_basis(d4_relations))
+
+
+def test_sparse_kernel_rows_are_sparse_in_column_order(rng):
+    """Each kernel row holds only its nonzero `Fraction` entries, keyed in
+    column order: 1 at its free column, and that is its last key."""
+    for _ in range(30):
+        cols = rng.randint(1, 7)
+        rows = [
+            {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in range(cols) if rng.random() < 0.5}
+            for _ in range(rng.randint(1, 6))
+        ]
+        reduced = sparse_rref(rows, cols)
+        kernel = sparse_kernel(reduced, cols)
+        pivots = {next(iter(row)) for row in reduced}
+        assert [max(v) for v in kernel] == [f for f in range(cols) if f not in pivots]
+        for v in kernel:
+            assert list(v) == sorted(v) and v[max(v)] == 1
+            assert all(type(x) is Fraction and x for x in v.values())
+            assert all(sum(x * row.get(j, 0) for j, x in v.items()) == 0 for row in rows)

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from test_identities import coordinates
+from test_linalg import densify
 
 from wassoc import operads
 from wassoc.identities import (
@@ -12,6 +15,7 @@ from wassoc.identities import (
     leibniz_expression,
     lie_admissible_expression,
     monomial,
+    monomial_order,
     wa_expression,
 )
 from wassoc.linalg import Matrix, dense_row, in_span, kernel_basis, rank, rref
@@ -35,19 +39,57 @@ from wassoc.operads import (
     wass_dual_arity4,
     wass_dual_arity4_dim,
     dual_arity4_generators,
-    word_vector_from_group,
 )
-from wassoc.symgroup import all_perms, dual3_relation_vector, dual4_word_vectors, sigma_basis
+from wassoc.symgroup import all_perms, dual3_relation_vector, dual4_word_vectors, orbit, sigma_basis
 
 
 def reference_span_of(vectors, arity: int) -> RelationSpace:
     """The dense route that `span_of` replaced: dense `Fraction`
     coordinates, one `Matrix`, then its RREF rows."""
-    coords = [v.coordinates() for v in vectors]
+    coords = [coordinates(v) for v in vectors]
     if not coords:
         return RelationSpace(arity, [])
     rk, red = rref(Matrix.from_rows(coords))
     return RelationSpace(arity, [{j: x for j, x in enumerate(red.row(i)) if x} for i in range(rk)])
+
+
+def word_vector(terms, letters: int) -> tuple:
+    """The dense word vector over `all_perms(letters)` that word rows
+    replaced: the reference they are compared with."""
+    index = {p.images: i for i, p in enumerate(all_perms(letters))}
+    out = [Fraction(0)] * len(index)
+    for w, c in terms.items():
+        out[index[w]] += c
+    return tuple(out)
+
+
+def word_vector_from_group(v) -> tuple:
+    """Group-algebra element -> dense word vector via
+    sigma -> x_{sigma(1)}..x_{sigma(n)}."""
+    return word_vector({p.images: q for p, q in v.coeffs.items()}, v.n)
+
+
+def reference_dual_arity4_generators() -> list[tuple]:
+    """Every placement of R3 among four letters as a dense word vector, in
+    the order of `dual_arity4_generators`."""
+    gens = []
+    for a, b, c, d in itertools.permutations((1, 2, 3, 4)):
+        gens += [r3_terms((a, b), (c,), (d,)), r3_terms((a,), (b, c), (d,)), r3_terms((a,), (b,), (c, d))]
+    for a, b, c, d in itertools.permutations((1, 2, 3, 4)):
+        outer = r3_terms((b,), (c,), (d,))
+        gens += [{(a,) + w: q for w, q in outer.items()}, {w + (a,): q for w, q in outer.items()}]
+    return [word_vector(g, 4) for g in gens]
+
+
+def test_word_rows_match_dense_reference():
+    """Dual-4 generators and the orbits of both displayed quartic relations:
+    each sparse row is the dense word vector it replaced (for n = 4 the lex
+    word order is the `sigma_basis(4)` order, so a group-algebra element's
+    `sparse_row` is its word row)."""
+    assert [dense_row(row, 24) for row in dual_arity4_generators()] == reference_dual_arity4_generators()
+    for w in dual4_word_vectors():
+        for u in orbit(w):
+            assert dense_row(u.sparse_row(), 24) == word_vector_from_group(u)
 
 
 def basis(space: RelationSpace) -> list:
@@ -126,7 +168,7 @@ def test_pairing_values():
 
 
 def test_pairing_nondegenerate_and_symmetric():
-    g = pairing_gram_matrix()
+    g = densify(pairing_gram_matrix(), 12)
     assert rank(g) == 12
     assert g == g.transpose()
 
@@ -160,7 +202,7 @@ def test_duality_dimension_split():
     # mutual annihilation: every pairing between the two spaces vanishes
     from wassoc.identities import MultilinearIdentity
 
-    basis3 = MultilinearIdentity(3, {}).monomial_basis()
+    basis3 = list(monomial_order(3))
 
     def to_identity(vec):
         return MultilinearIdentity(
@@ -198,7 +240,7 @@ def test_dual_arity4_computation():
     assert d4.dim == 8
     assert wass_dual_arity4_dim() == 8
     for v in d4.kernel:
-        assert all(x == 0 for x in Matrix.from_rows(dual_arity4_generators()).apply(v))
+        assert all(x == 0 for x in densify(dual_arity4_generators(), 24).apply(dense_row(v, 24)))
 
 
 def test_dual_arity4_tree_space_agreement():
@@ -208,7 +250,9 @@ def test_dual_arity4_tree_space_agreement():
 
 
 def test_reduced_placement_square_matrix():
-    m = reduced_placement_matrix()
+    rows = reduced_placement_matrix()
+    assert all(0 <= j < 24 for row in rows for j in row)
+    m = densify(rows, 24)
     assert m.rows == 24 and m.cols == 24
     assert rank(m) == 16
     assert len(kernel_basis(m)) == 8
@@ -244,9 +288,7 @@ def test_dual3_relation_matches_word_form():
     v = dual3_relation_vector()
     vec = word_vector_from_group(v)
     terms = r3_terms((1,), (2,), (3,))
-    from wassoc.operads import _word_vector
-
-    assert vec == _word_vector(terms, 3)
+    assert vec == word_vector(terms, 3)
 
 
 def test_r3_syzygies():
