@@ -15,12 +15,8 @@ from .finalg import (
     AlgebraFormatError,
     algebra_from_json,
     evaluate,
-    is_associative,
     is_commutative,
-    is_flexible,
-    is_jordan,
-    is_lie_admissible,
-    is_weakly_associative,
+    jordan_identity_defect,
 )
 from .identities import (
     associator,
@@ -57,13 +53,15 @@ def cmd_verify(args) -> int:
     return CLAIM_FAILED if rep.failed else 0
 
 
+# Each property's defect map: the property holds iff it is zero, and its
+# first nonzero entry is the witness of a failure.
 PROPERTIES = {
-    "weakly-associative": (is_weakly_associative, wa_expression),
-    "associative": (is_associative, associator),
-    "flexible": (is_flexible, flexibility_expression),
-    "lie-admissible": (is_lie_admissible, lie_admissible_expression),
-    "commutative": (is_commutative, None),
-    "jordan": (is_jordan, None),
+    "weakly-associative": lambda alg: evaluate(alg, wa_expression()),
+    "associative": lambda alg: evaluate(alg, associator()),
+    "flexible": lambda alg: evaluate(alg, flexibility_expression()),
+    "lie-admissible": lambda alg: evaluate(alg, lie_admissible_expression()),
+    "commutative": lambda alg: alg.mu.skew_part(),
+    "jordan": jordan_identity_defect,
 }
 
 
@@ -83,31 +81,17 @@ def cmd_check(args) -> int:
     except AlgebraFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    predicate, expression = PROPERTIES[args.property]
-    ok = predicate(alg)
-    if ok:
+    if args.property == "jordan" and not is_commutative(alg):
+        print(f"{args.property}: fails (product is not commutative)")
+        return CLAIM_FAILED
+    defect = PROPERTIES[args.property](alg)
+    if defect.is_zero():
         print(f"{args.property}: holds")
         return 0
-    witness = None
-    if expression is not None:
-        defect = evaluate(alg, expression())
-        witness = defect.first_nonzero()
-    elif args.property == "commutative":
-        witness = alg.mu.skew_part().first_nonzero()
-    else:  # jordan
-        from .finalg import jordan_identity_defect
-
-        if not is_commutative(alg):
-            print(f"{args.property}: fails (product is not commutative)")
-            return CLAIM_FAILED
-        witness = jordan_identity_defect(alg).first_nonzero()
-    if witness is not None:
-        idx, row = witness
-        names = ", ".join(f"e{i + 1}" for i in idx)
-        coords = ", ".join(f"e{k + 1}: {as_rational(row[k])}" for k in sorted(row))
-        print(f"{args.property}: fails at ({names}) with value {{{coords}}}")
-    else:
-        print(f"{args.property}: fails")
+    idx, row = defect.first_nonzero()
+    names = ", ".join(f"e{i + 1}" for i in idx)
+    coords = ", ".join(f"e{k + 1}: {as_rational(row[k])}" for k in sorted(row))
+    print(f"{args.property}: fails at ({names}) with value {{{coords}}}")
     return CLAIM_FAILED
 
 
@@ -226,7 +210,7 @@ def cmd_delta3(args) -> int:
 
 def cmd_deform(args) -> int:
     from .deform import deformation_from_json, first_failing_order, quantization
-    from .finalg import is_commutative, is_weakly_associative
+    from .finalg import is_weakly_associative
 
     try:
         deformation = deformation_from_json(_load_json(args.file))

@@ -4,13 +4,17 @@ Three families live here:
 
 * the Hochschild-type operator `hochschild_delta` for any product;
 * the weakly associative operators `wa_delta0..wa_delta2` (degree 2 is the
-  Hochschild operator precomposed with the slot symmetrization Id + c - (12))
+  Hochschild operator precomposed with the slot symmetrization Id + c - (12),
+  applied by `MultiMap.apply_group_vector`)
   together with the parametric degree-3 operator `wa_delta3`, whose admissible
   coefficient rows {unknown: coefficient} form the kernel of the linear
   system assembled by `build_delta3_system` from `("m", "f")` trees: the
   formal product and cochain symbol, enumerated and grafted by `identities`;
 * the Lichnerowicz operator on skew multiderivations of a (possibly
   nonassociative) Poisson pair.
+
+The operadic cochain checks apply the cochain vectors of `symgroup` the same
+way, and the Leibniz defect of a bilinear map is `finalg.leibniz_defect_pair`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .finalg import (
     contract,
     derivation_defect,
     is_nonassociative_poisson,
+    leibniz_defect_pair,
     linear_combination,
     vector_map,
 )
@@ -44,15 +49,7 @@ from .identities import (
     wa_expression,
 )
 from .linalg import sparse_kernel, sparse_reduce, sparse_rref
-from .symgroup import (
-    C3,
-    T12,
-    Perm,
-    all_perms,
-    cochain3_vectors,
-    cochain4_vectors,
-    wa_vector,
-)
+from .symgroup import Perm, all_perms, cochain3_vectors, cochain4_vectors, wa_vector
 
 
 @dataclass(frozen=True)
@@ -104,16 +101,6 @@ def hochschild_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
 # Weakly associative operators.
 # ---------------------------------------------------------------------------
 
-def wa_symmetrize3(t: MultiMap) -> MultiMap:
-    """Precompose a trilinear map with Id + c - (12):
-    t(x,y,z) + t(y,z,x) - t(y,x,z)."""
-    if t.arity != 3:
-        raise ValueError("needs arity 3")
-    return linear_combination(
-        3, t.dim, ((1, t), (1, t.permute_inputs(C3.images)), (-1, t.permute_inputs(T12.images)))
-    )
-
-
 def wa_delta0(ctx: CochainContext, x) -> MultiMap:
     """Left-minus-right multiplication by the coordinate vector x, as a
     1-linear map y -> x y - y x."""
@@ -131,7 +118,7 @@ def wa_delta2(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     phi symmetrized by Id + c - (12)."""
     if phi.arity != 2:
         raise ValueError("needs arity 2")
-    return wa_symmetrize3(hochschild_delta(ctx, phi))
+    return hochschild_delta(ctx, phi).apply_group_vector(wa_vector())
 
 
 def wa_cocycle2(ctx: CochainContext, phi: MultiMap) -> bool:
@@ -139,15 +126,11 @@ def wa_cocycle2(ctx: CochainContext, phi: MultiMap) -> bool:
 
 
 def leibniz_defect(ctx: CochainContext, psi: MultiMap) -> MultiMap:
-    """L(psi)(x,y,z) = psi(xy, z) - x psi(y,z) - psi(x,z) y."""
+    """L(psi)(x,y,z) = psi(xy, z) - x psi(y,z) - psi(x,z) y: the Leibniz
+    defect of the pair (context product, psi)."""
     if psi.arity != 2:
         raise ValueError("needs arity 2")
-    mu = ctx.alg.mu
-    return (
-        compose(psi, 0, mu)
-        - compose(mu, 1, psi)
-        - compose(mu, 0, psi).permute_inputs((1, 3, 2))
-    )
+    return leibniz_defect_pair(ctx.alg, FinAlg.from_map(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -227,32 +210,25 @@ def lichnerowicz_delta0(ctx: CochainContext, x) -> MultiMap:
 # Operadic cochain symmetry checks.
 # ---------------------------------------------------------------------------
 
-def _annihilated_by(t: MultiMap, v) -> bool:
-    terms = ((q, t.permute_inputs(p.images)) for p, q in v.coeffs.items())
-    return linear_combination(t.arity, t.dim, terms).is_zero()
-
-
 def operadic_cochain3_check(phi3: MultiMap) -> bool:
     """Symmetry defining operadic 3-cochains:
     T(x1,x2,x3) + T(x2,x1,x3) - T(x1,x3,x2) - T(x2,x3,x1) = 0."""
     if phi3.arity != 3:
         raise ValueError("needs arity 3")
     w1, _ = cochain3_vectors()
-    return _annihilated_by(phi3, w1)
+    return phi3.apply_group_vector(w1).is_zero()
 
 
 def operadic_cochain3_full_check(phi3: MultiMap) -> bool:
     """Both annihilator conditions (w1 and w2)."""
-    w1, w2 = cochain3_vectors()
-    return _annihilated_by(phi3, w1) and _annihilated_by(phi3, w2)
+    return all(phi3.apply_group_vector(w).is_zero() for w in cochain3_vectors())
 
 
 def operadic_cochain4_check(phi4: MultiMap) -> bool:
     """The two symmetry relations on operadic 4-cochains."""
     if phi4.arity != 4:
         raise ValueError("needs arity 4")
-    v4, v4p = cochain4_vectors()
-    return _annihilated_by(phi4, v4) and _annihilated_by(phi4, v4p)
+    return all(phi4.apply_group_vector(v).is_zero() for v in cochain4_vectors())
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cohomology import (
-    NotMultiderivation,
-    lichnerowicz_delta,
-    poisson_context,
-    wa_symmetrize3,
-)
+from .cohomology import NotMultiderivation, lichnerowicz_delta, poisson_context
 from .finalg import (
     AlgebraFormatError,
     FinAlg,
@@ -25,7 +20,6 @@ from .finalg import (
     _json_object,
     algebra_from_json,
     algebra_to_json,
-    compose,
     contract,
     endo_to_map,
     identity_map,
@@ -33,12 +27,12 @@ from .finalg import (
     is_nonassociative_poisson,
     is_weakly_associative,
     leibniz_defect_pair,
-    linear_combination,
     multimap_from_json,
     multimap_to_json,
     polarize,
     satisfies_jacobi,
 )
+from .symgroup import wa_vector
 
 
 @dataclass
@@ -88,7 +82,7 @@ def wa_defect(deformation: TruncatedDeformation, k: int) -> MultiMap:
         for i in range(k + 1)
         for sign, slot in ((1, 1), (-1, 0))
     )
-    return wa_symmetrize3(contract(3, deformation.base.dim, terms))
+    return contract(3, deformation.base.dim, terms).apply_group_vector(wa_vector())
 
 
 def is_wa_deformation(deformation: TruncatedDeformation) -> bool:
@@ -137,7 +131,10 @@ def quantization(deformation: TruncatedDeformation) -> QuantizationReport:
     bracket_alg = FinAlg.from_map(psi)
     jacobi_ok = satisfies_jacobi(bracket_alg)
     leibniz_ok = leibniz_defect_pair(base, bracket_alg).is_zero()
-    poisson_ok = is_nonassociative_poisson(base, bracket_alg)
+    # The base is commutative (checked above) and a skew part is
+    # anticommutative, so the pair is nonassociative Poisson exactly when
+    # Jacobi and Leibniz hold.
+    poisson_ok = jacobi_ok and leibniz_ok
     failure = None
     if failing is not None:
         failure = f"not weakly associative at order {failing}"
@@ -264,15 +261,8 @@ def ncp_defect(
     n = bullet.dim
     swap12 = (2, 1, 3)  # (x, y, z) -> (y, x, z)
     plain = contract(3, n, ((1, b1, 1, dot), (-1, dot, 0, b1), (1, br, 1, rho1), (-1, rho1, 0, br)))
-    return linear_combination(
-        3,
-        n,
-        (
-            (1, plain),
-            (-1, compose(dot, 1, b1).permute_inputs(swap12)),
-            (-1, compose(rho1, 1, br).permute_inputs(swap12)),
-        ),
-    )
+    swapped = contract(3, n, ((1, dot, 1, b1), (1, rho1, 1, br)))
+    return plain - swapped.permute_inputs(swap12)
 
 
 @dataclass

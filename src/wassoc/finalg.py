@@ -13,7 +13,11 @@ of vectors, identity evaluation, the derivation, Jacobi, Jordan and Leibniz
 defects, and the coboundary and deformation code of the `cohomology` and
 `deform` modules are built from it; terms that also permute their inputs
 (`permute_inputs`) are summed by `linear_combination`, which also gives the
-sum, difference and multiples of algebras.
+sum, difference and multiples of algebras.  A group-algebra element v of
+`symgroup` acts on a map by `MultiMap.apply_group_vector` (the sum of the
+permuted maps weighted by v), the action `identities.apply_group_vector` has
+on identities, so `evaluate` commutes with it; the Jacobi and Jordan defects
+are such symmetrizations.
 
 `contract` adds whole rows as packed integers (Kronecker substitution): one
 slot width per call, from a bound B on the output coefficients cleared of
@@ -44,6 +48,7 @@ from .identities import (
     wa_expression,
 )
 from .linalg import as_rational
+from .symgroup import C3, C3SQ, ID3, GroupAlgebraElement, Perm, ga
 
 
 class FinAlg:
@@ -202,7 +207,10 @@ class MultiMap:
 
     def permute_inputs(self, images: tuple[int, ...]) -> "MultiMap":
         """Precompose with the slot permutation sending input i to slot images[i]:
-        result(x_1..x_k) = self(x_{images[1]}, ..., x_{images[k]}) (1-based)."""
+        result(x_1..x_k) = self(x_{images[1]}, ..., x_{images[k]}) (1-based).
+        `images` must be a permutation of 1..arity."""
+        if len(images) != self.arity or set(images) != set(range(1, self.arity + 1)):
+            raise ValueError(f"not a permutation of 1..{self.arity}: {images!r}")
         targets = [p - 1 for p in images]
         out = {}
         for idx, row in self.coeffs.items():
@@ -211,6 +219,16 @@ class MultiMap:
                 key[t] = i
             out[tuple(key)] = row
         return _trusted(self.arity, self.dim, out)
+
+    def apply_group_vector(self, v: GroupAlgebraElement) -> "MultiMap":
+        """sum over the terms q p of v of q * self.permute_inputs(p.images):
+        the action `identities.apply_group_vector` has on identities, so
+        `evaluate` commutes with it.  v must have degree `arity`."""
+        if v.n != self.arity:
+            raise ValueError(f"degree-{v.n} group-algebra element on an arity-{self.arity} map")
+        return linear_combination(
+            self.arity, self.dim, ((q, self.permute_inputs(p.images)) for p, q in v.coeffs.items())
+        )
 
     def transpose_pair(self) -> "MultiMap":
         if self.arity != 2:
@@ -510,9 +528,7 @@ def is_lie_admissible(alg: FinAlg) -> bool:
 
 def jacobi_defect(alg: FinAlg) -> MultiMap:
     """J(x,y,z) = (xy)z + (yz)x + (zx)y for the algebra's own product."""
-    mu = alg.mu
-    left = compose(mu, 0, mu)
-    return left + left.permute_inputs((2, 3, 1)) + left.permute_inputs((3, 1, 2))
+    return compose(alg.mu, 0, alg.mu).apply_group_vector(ga(3, (1, ID3), (1, C3), (1, C3SQ)))
 
 
 def satisfies_jacobi(alg: FinAlg) -> bool:
@@ -532,11 +548,8 @@ def jordan_identity_defect(alg: FinAlg) -> MultiMap:
     right = compose(mu, 1, mu)
     # Both trees take their inputs as (x_a, y, x_b, x_c).
     defect = contract(4, alg.dim, ((1, right, 0, mu), (-1, mu, 1, right)))
-    return linear_combination(
-        4,
-        alg.dim,
-        ((1, defect.permute_inputs((a + 1, 4, b + 1, c + 1)))
-         for a, b, c in itertools.permutations(range(3))),
+    return defect.apply_group_vector(
+        ga(4, *((1, Perm(4, (a + 1, 4, b + 1, c + 1))) for a, b, c in itertools.permutations(range(3))))
     )
 
 

@@ -484,7 +484,8 @@ def _cohomology_checks(rep: Report, rng: random.Random, wa_members: list):
     )
     phi = corpus.random_multimap(2, n, rng, 2)
     d2 = wa_delta2(ctx, phi)
-    comm_ok = (d2 - d2.permute_inputs((1, 3, 2))).is_zero()
+    id_minus_t23 = ga(3, (1, ID3), (-1, T23))
+    comm_ok = d2.apply_group_vector(id_minus_t23).is_zero()
     rep.add(
         "cohomology.id-minus-t23-commutative",
         "on a commutative context every degree-2 coboundary is symmetric in "
@@ -499,7 +500,7 @@ def _cohomology_checks(rep: Report, rng: random.Random, wa_members: list):
         "cohomology.id-minus-t23-noncommutative",
         "whether the same symmetry survives on a noncommutative weakly "
         "associative context (observed: it does not)",
-        (d22 - d22.permute_inputs((1, 3, 2))).is_zero(),
+        d22.apply_group_vector(id_minus_t23).is_zero(),
     )
     pctx = poisson_context(alg, ring.bracket_algebra((1, 0)))
     lich_ok = lichnerowicz_delta(pctx, ring.poisson_bracket((1, 0))).is_zero()

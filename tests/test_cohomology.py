@@ -2,7 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from test_finalg import reference_lmul_basis, reference_mul_vec, reference_rmul_basis
+from test_finalg import (
+    reference_leibniz_defect,
+    reference_lmul_basis,
+    reference_mul_vec,
+    reference_rmul_basis,
+    reference_wa_symmetrize3,
+)
 from test_identities import reference_consequence_generators
 from test_linalg import densify, pivot_columns, reference_kernel_basis, reference_rref
 
@@ -134,6 +140,14 @@ def test_symmetric_maps_are_wa_cocycles(rng):
         assert (dh + dh.permute_inputs((3, 2, 1))).is_zero()
 
 
+def test_wa_delta2_and_leibniz_defect_match_hand_written_sums(wa_members, non_wa_members, rng):
+    for _, alg in wa_members + non_wa_members:
+        ctx = CochainContext(alg)
+        for phi in (random_multimap(2, alg.dim, rng, 2), random_fraction_multimap(2, alg.dim, rng)):
+            assert wa_delta2(ctx, phi) == reference_wa_symmetrize3(hochschild_delta(ctx, phi))
+            assert leibniz_defect(ctx, phi) == reference_leibniz_defect(alg.mu, phi)
+
+
 def test_leibniz_defect_of_zero():
     alg = plane_quotient().algebra()
     ctx = CochainContext(alg)
@@ -167,6 +181,11 @@ def test_delta2_image_satisfies_cochain3_symmetry(wa_members, rng):
         d2 = wa_delta2(ctx, phi)
         assert operadic_cochain3_check(d2)
         assert operadic_cochain3_full_check(d2)
+
+
+def test_cochain3_full_check_rejects_arity_4(rng):
+    with pytest.raises(ValueError):
+        operadic_cochain3_full_check(random_multimap(4, 2, rng))
 
 
 def test_symmetric_trilinear_passes_cochain3():

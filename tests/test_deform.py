@@ -2,9 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
-from test_finalg import reference_lmul_basis, reference_rmul_basis
+from test_finalg import reference_lmul_basis, reference_rmul_basis, reference_wa_symmetrize3
 
-from wassoc.cohomology import CochainContext, wa_delta1, wa_delta2, wa_symmetrize3
+from wassoc.cohomology import CochainContext, wa_delta1, wa_delta2
 from wassoc.corpus import (
     plane_quotient,
     random_endomorphism,
@@ -33,6 +33,7 @@ from wassoc.deform import (
 from wassoc.finalg import (
     FinAlg,
     MultiMap,
+    compose,
     identity_map,
     is_associative,
     is_commutative,
@@ -270,6 +271,27 @@ def test_ncp_defect_random_nonzero_with_witness(mu, ring, rng):
     assert witness is not None
 
 
+def test_ncp_defect_matches_six_term_reference(mu, ring, rng):
+    """Against the six partial compositions written out one by one."""
+    from wassoc.corpus import random_skew_bilinear, random_symmetric_bilinear
+
+    bullet, bracket = polarize(mu.add(ring.bracket_algebra((1, 0))))
+    dot, br = bullet.mu, bracket.mu
+    n = mu.dim
+    for _ in range(3):
+        rho1 = random_symmetric_bilinear(n, rng, 2)
+        b1 = random_skew_bilinear(n, rng, 2)
+        want = (
+            compose(b1, 1, dot)
+            - compose(dot, 0, b1)
+            - compose(dot, 1, b1).permute_inputs((2, 1, 3))
+            + compose(br, 1, rho1)
+            - compose(rho1, 0, br)
+            - compose(rho1, 1, br).permute_inputs((2, 1, 3))
+        )
+        assert ncp_defect(bullet, bracket, rho1, b1) == want
+
+
 def test_bullet_preserving_pencil(mu, ring):
     base = mu.add(ring.bracket_algebra((1, 0)))
     n = mu.dim
@@ -349,7 +371,7 @@ def reference_wa_defect(deformation: TruncatedDeformation, k: int) -> MultiMap:
         total = total + reference_mixed_associator(
             deformation.coefficient(i), deformation.coefficient(k - i)
         )
-    return wa_symmetrize3(total)
+    return reference_wa_symmetrize3(total)
 
 
 def reference_gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> list[MultiMap]:

@@ -12,6 +12,7 @@ from wassoc.corpus import (
     nonabelian_lie2,
     plane_quotient,
     random_fraction_multimap,
+    random_group_element,
     random_multimap,
     sl2,
     truncated_polynomials,
@@ -38,6 +39,7 @@ from wassoc.finalg import (
     is_lie_admissible,
     is_nonassociative_poisson,
     is_weakly_associative,
+    jacobi_defect,
     jordan_identity_defect,
     leibniz_defect_pair,
     linear_combination,
@@ -48,8 +50,17 @@ from wassoc.finalg import (
     satisfies_jordan_identity,
     vector_map,
 )
-from wassoc.identities import associator, wa_expression
+from wassoc.identities import apply_group_vector, associator, wa_expression
 from wassoc.linalg import Matrix
+from wassoc.symgroup import (
+    ID3,
+    T13,
+    Perm,
+    ga,
+    leibniz_vector,
+    lie_admissible_vector,
+    wa_vector,
+)
 
 
 # Reference contraction: the accumulation `compose` and `linear_combination`
@@ -445,6 +456,12 @@ def test_multimap_from_json_matches_dense_reference(rng):
             assert all(row and all(row.values()) for row in want[1].values())
 
 
+def _three_row_map() -> MultiMap:
+    """Keys (0,1,0) and (1,1,0) differ only in slot 1, so images that send
+    slots 1 and 2 to one place would merge them."""
+    return MultiMap(3, 2, {(0, 1, 0): {0: 1}, (1, 1, 0): {1: 2}, (0, 0, 1): {0: 5}})
+
+
 def test_multimap_permute_inputs():
     m = MultiMap.from_function(2, 2, lambda i, j: (i, j))
     t = m.permute_inputs((2, 1))
@@ -453,6 +470,82 @@ def test_multimap_permute_inputs():
     assert sk.is_skew()
     sym = m.sym_part()
     assert sym.is_symmetric()
+    swapped = _three_row_map().permute_inputs((2, 1, 3))
+    assert swapped.coeffs == {(1, 0, 0): {0: 1}, (1, 1, 0): {1: 2}, (0, 0, 1): {0: 5}}
+
+
+@pytest.mark.parametrize("images", [(1, 1, 3), (2, 1), (1, 2, 3, 4), (0, 1, 2), (2, 3, 4)])
+def test_permute_inputs_rejects_non_permutations(images):
+    with pytest.raises(ValueError, match="not a permutation of 1..3"):
+        _three_row_map().permute_inputs(images)
+
+
+# The hand-written permuted sums that `MultiMap.apply_group_vector` replaced,
+# kept as oracles.
+
+def reference_wa_symmetrize3(t: MultiMap) -> MultiMap:
+    """Precompose a trilinear map with Id + c - (12):
+    t(x,y,z) + t(y,z,x) - t(y,x,z)."""
+    if t.arity != 3:
+        raise ValueError("needs arity 3")
+    return linear_combination(
+        3, t.dim, ((1, t), (1, t.permute_inputs((2, 3, 1))), (-1, t.permute_inputs((2, 1, 3))))
+    )
+
+
+def reference_leibniz_defect(dot: MultiMap, br: MultiMap) -> MultiMap:
+    """{x.y, z} - x.{y,z} - {x,z}.y on basis triples."""
+    return compose(br, 0, dot) - compose(dot, 1, br) - compose(dot, 0, br).permute_inputs((1, 3, 2))
+
+
+def reference_jacobi_defect(mu: MultiMap) -> MultiMap:
+    """(xy)z + (yz)x + (zx)y."""
+    left = compose(mu, 0, mu)
+    return left + left.permute_inputs((2, 3, 1)) + left.permute_inputs((3, 1, 2))
+
+
+def reference_jordan_identity_defect(mu: MultiMap) -> MultiMap:
+    """The six permuted copies of (x_a y)(x_b x_c) - x_a (y (x_b x_c))."""
+    right = compose(mu, 1, mu)
+    defect = contract(4, mu.dim, ((1, right, 0, mu), (-1, mu, 1, right)))
+    return linear_combination(
+        4,
+        mu.dim,
+        ((1, defect.permute_inputs((a + 1, 4, b + 1, c + 1)))
+         for a, b, c in itertools.permutations(range(3))),
+    )
+
+
+def test_evaluate_commutes_with_the_group_action(wa_members, non_wa_members, rng):
+    """Evaluating a symmetrized associator equals symmetrizing the evaluated
+    associator, for the named vectors and seeded random K[S3] elements."""
+    flexibility_vector = ga(3, (1, ID3), (1, T13))
+    vectors = [wa_vector(), lie_admissible_vector(), leibniz_vector(), flexibility_vector]
+    vectors += [random_group_element(3, rng) for _ in range(3)]
+    for _, alg in wa_members + non_wa_members:
+        assoc = evaluate(alg, associator())
+        for v in vectors:
+            assert evaluate(alg, apply_group_vector(associator(), v)) == assoc.apply_group_vector(v)
+
+
+def test_apply_group_vector_rejects_wrong_degree(rng):
+    t = random_multimap(3, 2, rng)
+    for v in (ga(2, (1, Perm(2, (2, 1)))), random_group_element(4, rng)):
+        with pytest.raises(ValueError, match=f"degree-{v.n} group-algebra element"):
+            t.apply_group_vector(v)
+    with pytest.raises(ValueError, match="on an arity-2 map"):
+        random_multimap(2, 2, rng).apply_group_vector(wa_vector())
+
+
+def test_group_action_matches_hand_written_sums(wa_members, non_wa_members, rng):
+    for _ in range(5):
+        for t in (random_multimap(3, 3, rng), random_fraction_multimap(3, 3, rng)):
+            assert t.apply_group_vector(wa_vector()) == reference_wa_symmetrize3(t)
+    for _, alg in wa_members + non_wa_members:
+        psi = random_fraction_multimap(2, alg.dim, rng)
+        assert leibniz_defect_pair(alg, FinAlg.from_map(psi)) == reference_leibniz_defect(alg.mu, psi)
+        assert jacobi_defect(alg) == reference_jacobi_defect(alg.mu)
+        assert jordan_identity_defect(alg) == reference_jordan_identity_defect(alg.mu)
 
 
 @pytest.mark.parametrize(
@@ -868,8 +961,6 @@ def _plane_deformations(seed: int, degrees=(2, 3)):
 def test_contract_on_gauged_plane_deformations():
     """The weak associativity defects of the benchmark's gauged dim-6 and
     dim-10 deformations (seed 1), whose phi_1..phi_3 are dense."""
-    from wassoc.cohomology import wa_symmetrize3
-
     dims = []
     for deformation in _plane_deformations(1):
         n = deformation.base.dim
@@ -883,7 +974,7 @@ def test_contract_on_gauged_plane_deformations():
                 for sign, slot in ((1, 1), (-1, 0))
             ]
             got = assert_contract_matches_reference(3, n, terms)
-            assert wa_symmetrize3(got).is_zero()
+            assert got.apply_group_vector(wa_vector()).is_zero()
     assert dims == [6, 10]
 
 
