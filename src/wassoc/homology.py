@@ -10,18 +10,24 @@ the boundary maps are
 with the weakly associative variants
   b2^wa = b2 + b2 . cyclic - b2 . swap12  and  b3^wa = b3 + b3 . swap24.
 
-The complex is built from the labels of `freewa.build`: every product is
-`multiply(u, v)`, looked up in the label index.  Every product in a degree-k
-boundary stays in degree k, so homology in degree k is exact as soon as the
-degree bound is at least k.  Each boundary is kept as sparse integer columns
-`{target chain index: coefficient}`, and ranks are taken on those columns
-with `linalg.sparse_rank`.
+The complex is built from the labels of `freewa.build`.  Its product table
+is built once, on first use: for every pair of labels whose degrees sum to at
+most the bound, the index of `multiply(u, v)` in the label index, keyed by
+one int (i * len(labels) + j); the boundaries read products from it.  Every
+product in a degree-k boundary stays in degree k, so homology in degree k is
+exact as soon as the degree bound is at least k.  Chains are grown one slot
+at a time from the labels grouped by degree.  A boundary is filled one term
+of its formula at a time over the whole source basis, the wa variants being
+signed sums of b_n on reordered chains, and is kept as sparse integer
+columns `{target chain index: coefficient}`; ranks are taken on those
+columns with `linalg.sparse_rank`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .freewa import Label, build, multiply
 from .linalg import Matrix, sparse_rank
@@ -30,8 +36,9 @@ from .linalg import Matrix, sparse_rank
 @dataclass
 class ChainComplex:
     """Chains on the labels of degree at most `max_degree` (`index` maps a
-    label to its position in `labels`).  Chain bases, boundaries and ranks
-    are computed once and kept."""
+    label to its position in `labels`).  The labels grouped by degree, the
+    product table, chain bases, boundaries and ranks are computed once and
+    kept."""
 
     labels: list[Label]
     index: dict[Label, int]
@@ -60,22 +67,29 @@ class ChainComplex:
         return self._cached(("basis", n, k), lambda: self._enumerate_chains(n, k))
 
     def _enumerate_chains(self, n: int, k: int) -> list[tuple[int, ...]]:
+        """Grow the prefixes one slot at a time, each slot drawing the
+        labels of every degree that still fits, degree by degree; the last
+        slot takes exactly the remaining degree.  Lex order in the labels."""
+        by_degree = self._cached("by_degree", self._labels_by_degree)
+        prefixes = [((), k)]
+        for _ in range(n):
+            prefixes = [
+                (prefix + (i,), remaining - d)
+                for prefix, remaining in prefixes
+                for d in range(remaining + 1)
+                for i in by_degree.get(d, ())
+            ]
+        return [
+            prefix + (i,)
+            for prefix, remaining in prefixes
+            for i in by_degree.get(remaining, ())
+        ]
+
+    def _labels_by_degree(self) -> dict[int, list[int]]:
         by_degree: dict[int, list[int]] = {}
         for i, l in enumerate(self.labels):
             by_degree.setdefault(l.degree, []).append(i)
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            for d in range(remaining + 1):
-                for i in by_degree.get(d, []):
-                    rec(prefix + [i], remaining - d, slots - 1)
-
-        rec([], k, n + 1)
-        return out
+        return by_degree
 
     def chain_basis(self, n: int, k: int) -> list[tuple[int, ...]]:
         """Index tuples (m, a1..an) with degrees summing to k, lex order."""
@@ -84,41 +98,50 @@ class ChainComplex:
     def chain_dim(self, n: int, k: int) -> int:
         return len(self._basis(n, k))
 
-    def _product(self, i: int, j: int) -> int:
-        """Index of the product of labels i and j (within the degree bound)."""
-        key = ("product", i, j) if i <= j else ("product", j, i)
-        return self._cached(
-            key, lambda: self.index[multiply(self.labels[i], self.labels[j])]
-        )
+    def _products(self) -> dict[int, int]:
+        """Product table: the index of labels i * j under the key
+        i * len(labels) + j, for every pair whose degrees sum to at most
+        `max_degree`.  The product is commutative, so each pair is
+        multiplied once."""
+        by_degree = self._cached("by_degree", self._labels_by_degree)
+        labels, index, width = self.labels, self.index, len(self.labels)
+        table: dict[int, int] = {}
+        for d, left in by_degree.items():
+            for e, right in by_degree.items():
+                if d > e or d + e > self.max_degree:
+                    continue
+                for i in left:
+                    for j in right:
+                        p = index[multiply(labels[i], labels[j])]
+                        table[i * width + j] = table[j * width + i] = p
+        return table
 
-    def _raw_boundary_terms(self, chain: tuple[int, ...]):
-        """Image of one basis chain under b_n: list of (coeff, target chain)."""
-        prod = self._product
-        m, rest = chain[0], chain[1:]
-        out = [(1, (prod(m, rest[0]),) + rest[1:])]
-        sign = -1
-        for i in range(len(rest) - 1):
-            out.append((sign, (m,) + rest[:i] + (prod(rest[i], rest[i + 1]),) + rest[i + 2 :]))
-            sign = -sign
-        out.append((sign, (prod(rest[-1], m),) + rest[:-1]))
-        return out
-
-    def _boundary_on_chain(self, n: int, chain: tuple[int, ...], variant: str):
+    @staticmethod
+    def _sources(n: int, variant: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """b_n or its wa variant as (coefficient, slot order) pairs: the
+        image of a chain c is the sum of coefficient * b_n(c[order])."""
         if variant == "plain" or n == 1:
-            return self._raw_boundary_terms(chain)
-        if n == 2:
-            m, a2, a3 = chain
-            return [
-                (coeff * c, t)
-                for coeff, src in ((1, (m, a2, a3)), (1, (a2, a3, m)), (-1, (a2, m, a3)))
-                for c, t in self._raw_boundary_terms(src)
-            ]
-        m, a2, a3, a4 = chain
-        return self._raw_boundary_terms(chain) + self._raw_boundary_terms((m, a4, a3, a2))
+            return ((1, tuple(range(n + 1))),)
+        if n == 2:  # b2^wa = b2 + b2 . cyclic - b2 . swap12
+            return ((1, (0, 1, 2)), (1, (1, 2, 0)), (-1, (1, 0, 2)))
+        return ((1, (0, 1, 2, 3)), (1, (0, 3, 2, 1)))  # b3^wa = b3 + b3 . swap24
+
+    def _faces(self, n: int, chains: list[tuple[int, ...]], prod: dict[int, int]):
+        """The terms of b_n on a list of chains in C_n, one term at a time:
+        (sign, targets) with targets yielding the target chain of each chain
+        in turn, and products read from the table `prod` of `_products`."""
+        w = len(self.labels)
+        yield 1, ((prod[c[0] * w + c[1]],) + c[2:] for c in chains)
+        for i in range(1, n):
+            yield (-1) ** i, (
+                c[:i] + (prod[c[i] * w + c[i + 1]],) + c[i + 2 :] for c in chains
+            )
+        yield (-1) ** n, ((prod[c[n] * w + c[0]],) + c[1:n] for c in chains)
 
     def _columns(self, n: int, k: int, variant: str) -> list[dict[int, int]]:
         """b_n (or its wa variant) on C_n^k as sparse integer columns: one
-        {index in C_(n-1)^k: coefficient} per source chain, zeros dropped."""
+        {index in C_(n-1)^k: coefficient} per source chain, zeros dropped.
+        The columns are filled one term of the formula at a time."""
         if n not in (1, 2, 3):
             raise ValueError("chain length must be 1, 2 or 3")
         if variant not in ("plain", "wa"):
@@ -126,14 +149,20 @@ class ChainComplex:
 
         def compute():
             dst_index = {c: i for i, c in enumerate(self._basis(n - 1, k))}
-            cols = []
-            for chain in self._basis(n, k):
-                col: dict[int, int] = {}
-                for coeff, target in self._boundary_on_chain(n, chain, variant):
-                    t = dst_index[target]
-                    col[t] = col.get(t, 0) + coeff
-                cols.append({t: c for t, c in col.items() if c})
-            return cols
+            prod = self._cached("products", self._products)
+            basis = self._basis(n, k)
+            identity = tuple(range(n + 1))
+            cols: list[dict[int, int]] = [{} for _ in basis]
+            for coeff, order in self._sources(n, variant):
+                chains = basis if order == identity else list(map(itemgetter(*order), basis))
+                for sign, targets in self._faces(n, chains, prod):
+                    q = coeff * sign
+                    for col, t in zip(cols, map(dst_index.__getitem__, targets)):
+                        col[t] = col.get(t, 0) + q
+            return [
+                col if all(col.values()) else {t: c for t, c in col.items() if c}
+                for col in cols
+            ]
 
         return self._cached(("boundary", n, k, variant), compute)
 

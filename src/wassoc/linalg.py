@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -254,15 +255,16 @@ def rank(m: Matrix) -> int:
 
 def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank over Q of integer rows given as {column: int} dicts; zero entries
-    and empty rows are allowed, non-integer entries are rejected."""
-    nonzero = []
-    for row in rows:
-        if set(map(type, row)) - {int} or set(map(type, row.values())) - {int}:
-            raise TypeError("sparse rows map int columns to int entries")
-        row = {j: v for j, v in row.items() if v}
-        if row:
-            nonzero.append(row)
-    return len(_echelon(nonzero))
+    and empty rows are allowed, non-integer entries are rejected.  The types
+    of all keys and entries are checked in one pass, and a row is copied only
+    when it holds a zero; the caller's rows are not mutated."""
+    rows = list(rows)
+    keys = chain.from_iterable(rows)
+    entries = chain.from_iterable(row.values() for row in rows)
+    if set(map(type, chain(keys, entries))) - {int}:
+        raise TypeError("sparse rows map int columns to int entries")
+    nonzero = (row if all(row.values()) else {j: v for j, v in row.items() if v} for row in rows)
+    return len(_echelon(row for row in nonzero if row))
 
 
 def sparse_kernel(reduced: list[dict[int, Fraction]], cols: int) -> list[dict[int, Fraction]]:

@@ -3,21 +3,15 @@ from fractions import Fraction
 import pytest
 from test_acceptance import rank_mod_p
 
-from wassoc.freewa import as_truncated_algebra, build, dimension_sequence
+from wassoc.freewa import as_truncated_algebra, build, dimension_sequence, multiply
 from wassoc.homology import ChainComplex, _composite_is_zero, b1b2_symbolic_identity
 from wassoc.linalg import Matrix, rank
 
 
-def reference_boundary(cc: ChainComplex, n: int, k: int, variant: str = "plain") -> Matrix:
-    """The dense boundary `ChainComplex.boundary` replaced: products are read
-    from the n x n x n structure-constant table of the truncated free algebra
-    by scanning for the one nonzero coordinate, and every cell of the matrix
-    is a `Fraction`."""
-    trunc = as_truncated_algebra(build(cc.max_degree))
-
-    def prod(i, j):
-        hits = [t for t, q in enumerate(trunc.algebra.mu(i, j)) if q != 0]
-        return hits[0] if hits else None
+def reference_terms(n: int, chain: tuple[int, ...], variant: str, prod) -> list:
+    """b_n (or its wa variant) on one chain as (coeff, target chain) terms,
+    with `prod(i, j)` the index of a product, or None where the product is
+    zero."""
 
     def raw_terms(chain):
         m, rest = chain[0], list(chain[1:])
@@ -36,18 +30,29 @@ def reference_boundary(cc: ChainComplex, n: int, k: int, variant: str = "plain")
             out.append((sign, tuple([p] + rest[:-1])))
         return out
 
-    def terms(chain):
-        if variant == "plain" or n == 1:
-            return raw_terms(chain)
-        if n == 2:
-            m, a2, a3 = chain
-            return [
-                (coeff * c, t)
-                for coeff, src in ((1, (m, a2, a3)), (1, (a2, a3, m)), (-1, (a2, m, a3)))
-                for c, t in raw_terms(src)
-            ]
-        m, a2, a3, a4 = chain
-        return raw_terms((m, a2, a3, a4)) + raw_terms((m, a4, a3, a2))
+    if variant == "plain" or n == 1:
+        return raw_terms(chain)
+    if n == 2:
+        m, a2, a3 = chain
+        return [
+            (coeff * c, t)
+            for coeff, src in ((1, (m, a2, a3)), (1, (a2, a3, m)), (-1, (a2, m, a3)))
+            for c, t in raw_terms(src)
+        ]
+    m, a2, a3, a4 = chain
+    return raw_terms((m, a2, a3, a4)) + raw_terms((m, a4, a3, a2))
+
+
+def reference_boundary(cc: ChainComplex, n: int, k: int, variant: str = "plain") -> Matrix:
+    """The dense boundary `ChainComplex.boundary` replaced: products are read
+    from the n x n x n structure-constant table of the truncated free algebra
+    by scanning for the one nonzero coordinate, and every cell of the matrix
+    is a `Fraction`."""
+    trunc = as_truncated_algebra(build(cc.max_degree))
+
+    def prod(i, j):
+        hits = [t for t, q in enumerate(trunc.algebra.mu(i, j)) if q != 0]
+        return hits[0] if hits else None
 
     src = cc.chain_basis(n, k)
     dst = cc.chain_basis(n - 1, k)
@@ -55,10 +60,73 @@ def reference_boundary(cc: ChainComplex, n: int, k: int, variant: str = "plain")
     cols = []
     for chain in src:
         col = [Fraction(0)] * len(dst)
-        for coeff, target in terms(chain):
+        for coeff, target in reference_terms(n, chain, variant, prod):
             col[dst_index[target]] += coeff
         cols.append(col)
     return Matrix.from_rows([[cols[j][i] for j in range(len(src))] for i in range(len(dst))])
+
+
+def reference_chain_basis(cc: ChainComplex, n: int, k: int) -> list[tuple[int, ...]]:
+    """The recursive enumerator the level-by-level one replaced: depth first
+    over the n + 1 slots, each slot drawing the labels of every degree that
+    still fits, degree by degree, and a chain kept when the degrees sum to k."""
+    by_degree: dict[int, list[int]] = {}
+    for i, l in enumerate(cc.labels):
+        by_degree.setdefault(l.degree, []).append(i)
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        for d in range(remaining + 1):
+            for i in by_degree.get(d, []):
+                rec(prefix + [i], remaining - d, slots - 1)
+
+    rec([], k, n + 1)
+    return out
+
+
+def reference_columns(cc: ChainComplex, n: int, k: int, variant: str) -> list[dict[int, int]]:
+    """The sparse columns with every product computed by `multiply` on each
+    use and looked up in the label index, over the reference chain bases."""
+
+    def prod(i, j):
+        return cc.index[multiply(cc.labels[i], cc.labels[j])]
+
+    dst_index = {c: i for i, c in enumerate(reference_chain_basis(cc, n - 1, k))}
+    cols = []
+    for chain in reference_chain_basis(cc, n, k):
+        col: dict[int, int] = {}
+        for coeff, target in reference_terms(n, chain, variant, prod):
+            t = dst_index[target]
+            col[t] = col.get(t, 0) + coeff
+        cols.append({t: c for t, c in col.items() if c})
+    return cols
+
+
+@pytest.fixture(scope="module")
+def complex11():
+    return ChainComplex.up_to_degree(11)
+
+
+def test_chain_basis_matches_recursive_reference(complex11):
+    for n in range(4):
+        for k in range(10 if n == 3 else 12):
+            assert complex11.chain_basis(n, k) == reference_chain_basis(complex11, n, k), (n, k)
+
+
+@pytest.mark.parametrize("variant", ["plain", "wa"])
+def test_columns_match_multiply_reference(complex11, variant):
+    cases = [(n, k) for n in (1, 2, 3) for k in range(9)]
+    # the frontier boundaries b1 and b2 in degrees 9-11
+    cases += [(n, k) for n in (1, 2) for k in (9, 10, 11)]
+    for n, k in cases:
+        assert complex11._columns(n, k, variant) == reference_columns(complex11, n, k, variant), (
+            n,
+            k,
+        )
 
 
 def test_h0_equals_graded_dimensions(chain_complex6):

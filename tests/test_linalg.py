@@ -84,15 +84,17 @@ def same_span(a, b) -> bool:
     )
 
 
-def assert_agrees_with_reference(m: Matrix):
+def assert_agrees_with_reference(m: Matrix, expected: tuple[int, Matrix] | None = None):
     """Same rank, same RREF with `Fraction` entries, and the same kernel basis
-    as the one read off the reference RREF."""
-    expected = reference_rref(m)
+    as the one read off the reference RREF (`expected`, when the caller has
+    already computed `reference_rref(m)`)."""
+    if expected is None:
+        expected = reference_rref(m)
     rk, red = rref(m)
     assert (rk, red) == expected
     assert rank(m) == rk
     assert all(type(x) is Fraction for row in red.entries for x in row)
-    assert kernel_basis(m) == reference_kernel_basis(m)
+    assert kernel_basis(m) == reference_kernel_basis(m, expected)
 
 
 def densify(rows, cols: int) -> Matrix:
@@ -289,21 +291,26 @@ def test_rref_matches_reference_on_delta3_system(monkeypatch, delta3_system):
     assert_agrees_with_reference(reduced)
 
 
-def test_rref_matches_reference_on_homology_b2():
+@pytest.fixture(scope="module")
+def homology_b2():
+    """b2 of the degree-9 complex in degrees 6 and 9, each with its
+    reference RREF, computed once for the two tests below."""
     complex9 = ChainComplex.up_to_degree(9)
-    for k in (6, 9):
-        assert_agrees_with_reference(complex9.boundary(2, k, "plain"))
+    b2s = [complex9.boundary(2, k, "plain") for k in (6, 9)]
+    return [(b2, reference_rref(b2)) for b2 in b2s]
+
+
+def test_rref_matches_reference_on_homology_b2(homology_b2):
+    for b2, expected in homology_b2:
+        assert_agrees_with_reference(b2, expected)
 
 
 def integer_rows(m: Matrix) -> list[dict[int, int]]:
     return [{j: int(x) for j, x in enumerate(row) if x} for row in m.entries]
 
 
-def test_sparse_rank_matches_reference_on_homology_b2():
-    complex9 = ChainComplex.up_to_degree(9)
-    for k in (6, 9):
-        b2 = complex9.boundary(2, k, "plain")
-        expected = reference_rref(b2)[0]
+def test_sparse_rank_matches_reference_on_homology_b2(homology_b2):
+    for b2, (expected, _) in homology_b2:
         assert sparse_rank(integer_rows(b2)) == expected
         assert sparse_rank(integer_rows(b2.transpose())) == expected
 
@@ -321,19 +328,31 @@ def test_sparse_rank_matches_reference_on_random_integer_rows(rng):
         # explicit zero entries and empty rows are allowed in the input
         rows = [{j: x for j, x in enumerate(r) if x or rng.random() < 0.3} for r in dense]
         rows.append({})
+        snapshot = [list(row.items()) for row in rows]
         expected = reference_rref(Matrix.from_rows(dense))[0]
         assert sparse_rank(rows) == expected, trial
         assert sparse_rank(iter(rows)) == expected
+        assert sparse_rank([{j: x for j, x in row.items() if x} for row in rows]) == expected
+        # the caller's rows, explicit zeros included, are left as they were
+        assert [list(row.items()) for row in rows] == snapshot, trial
     assert sparse_rank([]) == 0
     assert sparse_rank([{}, {3: 0}]) == 0
 
 
-@pytest.mark.parametrize(
-    "row", [{0: 0.5}, {0: True}, {0: Fraction(1, 2)}, {0: "1"}, {"0": 1}, {1.0: 1}]
-)
+BAD_ROWS = [{0: 0.5}, {0: True}, {0: Fraction(1, 2)}, {0: "1"}, {"0": 1}, {1.0: 1}]
+
+
+@pytest.mark.parametrize("row", BAD_ROWS)
 def test_sparse_rank_rejects_non_integer_rows(row):
     with pytest.raises(TypeError):
         sparse_rank([{1: 1}, row])
+
+
+@pytest.mark.parametrize("row", BAD_ROWS)
+def test_sparse_rank_rejects_a_late_bad_row_from_a_generator(row):
+    good = [{j: j + 1, j + 1: -1} for j in range(1000)]
+    with pytest.raises(TypeError):
+        sparse_rank(r for r in good + [row])
 
 
 def test_rref_matches_reference_on_random_rationals(rng):
@@ -445,10 +464,10 @@ def test_strings_are_not_rationals():
         Matrix.from_rows([["1/2", " 3"], [0, "1_0"]])
 
 
-def reference_kernel_basis(m: Matrix) -> list:
+def reference_kernel_basis(m: Matrix, reference: tuple[int, Matrix] | None = None) -> list:
     """The dense null-space read-off that `sparse_kernel` replaced, on the
-    reference RREF."""
-    rk, red = reference_rref(m)
+    reference RREF (`reference`, when already computed)."""
+    rk, red = reference_rref(m) if reference is None else reference
     pivots = pivot_columns(red, rk)
     basis = []
     for f in (j for j in range(m.cols) if j not in pivots):
