@@ -2,6 +2,11 @@
 
 Exit codes, stable for CI use: 0 every claim holds, 1 at least one claim
 fails, 2 usage or input error.
+
+`report` is imported at module level, and it imports every module the
+commands use: `verify` would otherwise compile `report` and its imports
+inside its own run.  The commands' function-local imports find their
+modules already loaded.
 """
 
 from __future__ import annotations

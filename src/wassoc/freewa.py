@@ -8,15 +8,15 @@ pairs {u, v} of lower-degree labels.  Degree counts satisfy
     d_(2p+1) = sum_{k=1}^{p} d_k d_(2p+1-k),
     d_(2p)   = sum_{k=1}^{p-1} d_k d_(2p-k) + d_p (d_p + 1) / 2,
 
-the unordered-binary-tree (Wedderburn-Etherington) numbers."""
+the unordered-binary-tree (Wedderburn-Etherington) numbers.
+
+`finalg` and `identities` are imported inside the two functions that use
+them, so the chain complex (`homology`) loads only `linalg` and this module."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-
-from .finalg import FinAlg
-from .identities import LEAF, shapes
 
 
 @total_ordering
@@ -159,6 +159,8 @@ class FreeTruncation:
 
 
 def as_truncated_algebra(basis: GradedBasis, max_degree: int | None = None) -> FreeTruncation:
+    from .finalg import FinAlg
+
     if max_degree is None:
         max_degree = basis.max_degree
     if max_degree > basis.max_degree:
@@ -179,6 +181,7 @@ def enumerate_unordered_trees(n: int) -> set:
     counting oracle for the dimension recursion): the ordered trees of
     `identities.shapes` as canonical strings, children sorted
     lexicographically inside each node."""
+    from .identities import LEAF, shapes
 
     def canonical(tree) -> str:
         if tree is LEAF:

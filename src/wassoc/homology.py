@@ -21,6 +21,10 @@ of its formula at a time over the whole source basis, the wa variants being
 signed sums of b_n on reordered chains, and is kept as sparse integer
 columns `{target chain index: coefficient}`; ranks are taken on those
 columns with `linalg.sparse_rank`.
+
+The module imports only `freewa` and `linalg` at module level;
+`b1b2_symbolic_identity` imports `identities` and `symgroup` when called,
+so building a complex loads no other part of the package.
 """
 
 from __future__ import annotations

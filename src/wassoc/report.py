@@ -12,6 +12,10 @@ Two published values are refuted by the exact computation (the arity-4 dual
 relation rank/kernel and the degree-6 chain-degree-1 homology dimension); the
 corresponding checks report ``fail`` with the computed values attached, and
 `verify` exits nonzero.  See the README for the analysis.
+
+Every module a `verify` run uses is imported here at module level, so
+importing `wassoc.cli` (which imports this module) does all the compiling
+and no check imports a module while it is being timed.
 """
 
 from __future__ import annotations
@@ -35,7 +39,19 @@ from .cohomology import (
     wa_delta2,
     wa_delta3,
 )
+from .deform import (
+    GaugeTransform,
+    TruncatedDeformation,
+    bullet_preserving_check,
+    gauge,
+    is_wa_deformation,
+    linear_deformation,
+    ncp_defect,
+    quantization,
+    zero_deformation,
+)
 from .finalg import (
+    FinAlg,
     MultiMap,
     depolarize,
     is_jordan,
@@ -44,7 +60,7 @@ from .finalg import (
     polarize,
     satisfies_jordan_identity,
 )
-from .freewa import dimension_sequence, enumerate_unordered_trees
+from .freewa import GEN, UNIT, dimension_sequence, enumerate_unordered_trees, multiply
 from .homology import ChainComplex, b1b2_symbolic_identity
 from .linalg import sparse_reduce, sparse_rref
 from .operads import (
@@ -289,8 +305,6 @@ def _freewa_checks(rep: Report):
         trees == dims[1:9],
         trees,
     )
-    from .freewa import GEN, UNIT, multiply
-
     x = GEN
     x2 = multiply(x, x)
     x3 = multiply(x, x2)
@@ -555,19 +569,6 @@ def _polarization_checks(rep: Report, wa_members: list):
 
 
 def _deform_checks(rep: Report, rng: random.Random):
-    from .deform import (
-        GaugeTransform,
-        TruncatedDeformation,
-        bullet_preserving_check,
-        gauge,
-        is_wa_deformation,
-        linear_deformation,
-        ncp_defect,
-        quantization,
-        zero_deformation,
-    )
-    from .finalg import FinAlg
-
     ring = corpus.plane_quotient()
     mu = ring.algebra()
     n = mu.dim
