@@ -5,7 +5,7 @@ Three families live here:
 * the Hochschild-type operator `hochschild_delta` for any product;
 * the weakly associative operators `wa_delta0..wa_delta2` (degree 2 is the
   Hochschild operator precomposed with the slot symmetrization Id + c - (12),
-  applied by `MultiMap.apply_group_vector`)
+  applied inside the one `finalg.contract` call)
   together with the parametric degree-3 operator `wa_delta3`, whose admissible
   coefficient rows {unknown: coefficient} form the kernel of the linear
   system assembled by `build_delta3_system` from `("m", "f")` trees: the
@@ -19,21 +19,18 @@ way, and the Leibniz defect of a bilinear map is `finalg.leibniz_defect_pair`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .finalg import (
     FinAlg,
     MultiMap,
-    _exact,
     commutator_endo,
     compose,
     contract,
     derivation_defect,
     is_nonassociative_poisson,
     leibniz_defect_pair,
-    linear_combination,
     vector_map,
 )
 from .identities import (
@@ -85,16 +82,17 @@ def hochschild_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
                              + sum_i (-1)^i phi(.., x_i x_{i+1}, ..)
                              + (-1)^(k+1) phi(x1..x_k) x_{k+1}.
     """
+    return contract(phi.arity + 1, phi.dim, _hochschild_terms(ctx, phi))
+
+
+def _hochschild_terms(ctx: CochainContext, phi: MultiMap) -> list:
+    """The `contract` terms of `hochschild_delta`."""
     if phi.arity < 1:
         raise ValueError("needs arity >= 1")
     mu = ctx.alg.mu
     k = phi.arity
-    terms = itertools.chain(
-        [(1, mu, 1, phi)],
-        (((-1) ** (i + 1), phi, i, mu) for i in range(k)),
-        [((-1) ** (k + 1), mu, 0, phi)],
-    )
-    return contract(k + 1, phi.dim, terms)
+    inner = [((-1) ** (i + 1), phi, i, mu) for i in range(k)]
+    return [(1, mu, 1, phi), *inner, ((-1) ** (k + 1), mu, 0, phi)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +116,7 @@ def wa_delta2(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     phi symmetrized by Id + c - (12)."""
     if phi.arity != 2:
         raise ValueError("needs arity 2")
-    return hochschild_delta(ctx, phi).apply_group_vector(wa_vector())
+    return contract(3, phi.dim, _hochschild_terms(ctx, phi), wa_vector())
 
 
 def wa_cocycle2(ctx: CochainContext, phi: MultiMap) -> bool:
@@ -155,15 +153,14 @@ def _check_multiderivation(ctx: CochainContext, phi: MultiMap):
     """Leibniz rule in each slot against the context product:
     phi(.., x_s x_{s+1}, ..) = x_s phi(.., x_{s+1}, ..) + phi(.., x_s, ..) x_{s+1}."""
     mu = ctx.alg.mu
-    k = phi.arity
-    left = compose(mu, 1, phi)   # (a, y..) -> a phi(y..)
-    right = compose(mu, 0, phi)  # (y.., b) -> phi(y..) b
-    for s in range(k):
-        x_s_left = left.permute_inputs((s + 1,) + tuple(p for p in range(1, k + 2) if p != s + 1))
-        x_next_right = right.permute_inputs(
-            tuple(p for p in range(1, k + 2) if p != s + 2) + (s + 2,)
+    slots = range(1, phi.arity + 2)
+    for s in range(phi.arity):
+        terms = (
+            (1, phi, s, mu),
+            (-1, mu, 1, phi, (s + 1,) + tuple(p for p in slots if p != s + 1)),  # x_s phi(..)
+            (-1, mu, 0, phi, tuple(p for p in slots if p != s + 2) + (s + 2,)),  # phi(..) x_{s+1}
         )
-        if compose(phi, s, mu) != x_s_left + x_next_right:
+        if not contract(phi.arity + 1, phi.dim, terms).is_zero():
             raise NotMultiderivation(s + 1)
 
 
@@ -183,20 +180,14 @@ def lichnerowicz_delta(ctx: CochainContext, phi: MultiMap) -> MultiMap:
     br = ctx.bracket.mu
     k = phi.arity
     slots = range(1, k + 2)
-    outer = compose(br, 1, phi)  # (a, y..) -> {a, phi(y..)}
-    inner = compose(phi, 0, br)  # (a, b, y..) -> phi({a, b}, y..)
-    terms = itertools.chain(
-        (
-            ((-1) ** (i - 1), outer.permute_inputs((i,) + tuple(p for p in slots if p != i)))
-            for i in slots
-        ),
-        (
-            ((-1) ** (i + j), inner.permute_inputs((i, j) + tuple(p for p in slots if p not in (i, j))))
-            for i in slots
-            for j in range(i + 1, k + 2)
-        ),
-    )
-    return linear_combination(k + 1, phi.dim, terms)
+    # {x_i, phi(..)}, then phi({x_i, x_j}, ..)
+    outer = [((-1) ** (i - 1), br, 1, phi, (i, *(p for p in slots if p != i))) for i in slots]
+    inner = [
+        ((-1) ** (i + j), phi, 0, br, (i, j, *(p for p in slots if p not in (i, j))))
+        for i in slots
+        for j in range(i + 1, k + 2)
+    ]
+    return contract(k + 1, phi.dim, outer + inner)
 
 
 def lichnerowicz_delta0(ctx: CochainContext, x) -> MultiMap:
@@ -371,19 +362,16 @@ def wa_delta3(ctx: CochainContext, phi3: MultiMap, coeffs: dict) -> MultiMap:
     unknowns = delta3_unknowns()
     if any(type(j) is not int or not 0 <= j < len(unknowns) for j in coeffs):
         raise ValueError(f"coefficient row keys must be unknowns in range({len(unknowns)})")
-    coeffs = {j: _exact(q) for j, q in coeffs.items()}
     mu = ctx.alg.mu
     family = {
-        "a": compose(mu, 1, phi3),  # x1 f(x2, x3, x4)
-        "b": compose(mu, 0, phi3),  # f(x1, x2, x3) x4
-        "c": compose(phi3, 0, mu),  # f(x1 x2, x3, x4)
-        "d": compose(phi3, 1, mu),  # f(x1, x2 x3, x4)
-        "e": compose(phi3, 2, mu),  # f(x1, x2, x3 x4)
+        "a": (mu, 1, phi3),  # x1 f(x2, x3, x4)
+        "b": (mu, 0, phi3),  # f(x1, x2, x3) x4
+        "c": (phi3, 0, mu),  # f(x1 x2, x3, x4)
+        "d": (phi3, 1, mu),  # f(x1, x2 x3, x4)
+        "e": (phi3, 2, mu),  # f(x1, x2, x3 x4)
     }
-    return linear_combination(
-        4,
-        phi3.dim,
-        ((q, family[unknowns[j][0]].permute_inputs(unknowns[j][1])) for j, q in coeffs.items()),
+    return contract(
+        4, phi3.dim, ((q, *family[unknowns[j][0]], unknowns[j][1]) for j, q in coeffs.items())
     )
 
 

@@ -82,7 +82,7 @@ def wa_defect(deformation: TruncatedDeformation, k: int) -> MultiMap:
         for i in range(k + 1)
         for sign, slot in ((1, 1), (-1, 0))
     )
-    return contract(3, deformation.base.dim, terms).apply_group_vector(wa_vector())
+    return contract(3, deformation.base.dim, terms, wa_vector())
 
 
 def is_wa_deformation(deformation: TruncatedDeformation) -> bool:
@@ -258,11 +258,11 @@ def ncp_defect(
     if not (is_nonassociative_poisson(bullet, bracket) or satisfies_jacobi(bracket)):
         raise ValueError("bracket must be a Lie bracket")
     dot, br = bullet.mu, bracket.mu
-    n = bullet.dim
     swap12 = (2, 1, 3)  # (x, y, z) -> (y, x, z)
-    plain = contract(3, n, ((1, b1, 1, dot), (-1, dot, 0, b1), (1, br, 1, rho1), (-1, rho1, 0, br)))
-    swapped = contract(3, n, ((1, dot, 1, b1), (1, rho1, 1, br)))
-    return plain - swapped.permute_inputs(swap12)
+    return contract(3, bullet.dim, (
+        (1, b1, 1, dot), (-1, dot, 0, b1), (1, br, 1, rho1), (-1, rho1, 0, br),
+        (-1, dot, 1, b1, swap12), (-1, rho1, 1, br, swap12),
+    ))
 
 
 @dataclass

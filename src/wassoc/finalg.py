@@ -6,23 +6,22 @@ coefficients kept as ints and the rest as Fractions.  A FinAlg is a dim-n
 algebra (A, mu) and holds nothing but its product mu, a bilinear MultiMap:
 e_i * e_j = mu(i, j) (0-based indices internally, 1-based in error messages
 and witnesses).  A coordinate vector is a 0-linear map (`vector_map`), an
-endomorphism a 1-linear one.  `contract` (a signed sum of partial
-compositions, each one map substituted into one input slot of another) is
-the one contraction routine, and `compose` is its one-term case.  Products
-of vectors, identity evaluation, the derivation, Jacobi, Jordan and Leibniz
-defects, and the coboundary and deformation code of the `cohomology` and
-`deform` modules are built from it; terms that also permute their inputs
-(`permute_inputs`) are summed by `linear_combination`, which also gives the
-sum, difference and multiples of algebras.  A group-algebra element v of
-`symgroup` acts on a map by `MultiMap.apply_group_vector` (the sum of the
-permuted maps weighted by v), the action `identities.apply_group_vector` has
-on identities, so `evaluate` commutes with it; the Jacobi and Jordan defects
-are such symmetrizations.
+endomorphism a 1-linear one.  `contract` is the one contraction routine: a
+signed sum of partial compositions (one map substituted into one input slot
+of another), each with its inputs optionally permuted, and the whole sum
+optionally symmetrized by a group-algebra element v of `symgroup`;
+`compose` is its one-term case.  Products of vectors, identity evaluation,
+the derivation, Jacobi, Jordan and Leibniz defects, the action
+`MultiMap.apply_group_vector` (the one `identities.apply_group_vector` has
+on identities, so `evaluate` commutes with it) and the coboundary and
+deformation code of the `cohomology` and `deform` modules are built from
+it.  `linear_combination` gives the sum, difference and multiples of maps.
 
 `contract` adds whole rows as packed integers (Kronecker substitution): one
-slot width per call, from a bound B on the output coefficients cleared of
-denominators, so adding a scaled row is one big-integer multiply-add and each
-output row is decoded once.
+slot width per call, from a bound on the output coefficients cleared of
+denominators, so adding a scaled row is one big-integer multiply-add.  The
+input permutations and v act on the packed sums, and each output row is
+decoded once, at the end.
 
 Inputs are validated once, by the public `MultiMap` constructor, which is
 also the only check of the `FinAlg` constructor.  The results of `contract`,
@@ -209,26 +208,19 @@ class MultiMap:
         """Precompose with the slot permutation sending input i to slot images[i]:
         result(x_1..x_k) = self(x_{images[1]}, ..., x_{images[k]}) (1-based).
         `images` must be a permutation of 1..arity."""
-        if len(images) != self.arity or set(images) != set(range(1, self.arity + 1)):
-            raise ValueError(f"not a permutation of 1..{self.arity}: {images!r}")
-        targets = [p - 1 for p in images]
-        out = {}
-        for idx, row in self.coeffs.items():
-            key = [0] * self.arity
-            for t, i in zip(targets, idx):
-                key[t] = i
-            out[tuple(key)] = row
-        return _trusted(self.arity, self.dim, out)
+        getter = _slot_getter(self.arity, images)
+        if getter is None:
+            return self
+        return _trusted(self.arity, self.dim, {getter(idx): row for idx, row in self.coeffs.items()})
 
     def apply_group_vector(self, v: GroupAlgebraElement) -> "MultiMap":
         """sum over the terms q p of v of q * self.permute_inputs(p.images):
         the action `identities.apply_group_vector` has on identities, so
         `evaluate` commutes with it.  v must have degree `arity`."""
-        if v.n != self.arity:
-            raise ValueError(f"degree-{v.n} group-algebra element on an arity-{self.arity} map")
-        return linear_combination(
-            self.arity, self.dim, ((q, self.permute_inputs(p.images)) for p, q in v.coeffs.items())
-        )
+        # The identity on the output coordinates of self, applied after it.
+        outputs = set(itertools.chain.from_iterable(self.coeffs.values()))
+        ident = _trusted(1, self.dim, {(k,): {k: 1} for k in outputs})
+        return contract(self.arity, self.dim, ((1, ident, 0, self),), v)
 
     def transpose_pair(self) -> "MultiMap":
         if self.arity != 2:
@@ -243,20 +235,17 @@ class MultiMap:
 
     def is_skew(self) -> bool:
         """Fully antisymmetric under every transposition of adjacent slots."""
-        for pos in range(self.arity - 1):
-            images = list(range(1, self.arity + 1))
-            images[pos], images[pos + 1] = images[pos + 1], images[pos]
-            if not (self + self.permute_inputs(tuple(images))).is_zero():
-                return False
-        return True
+        return all((self + swapped).is_zero() for swapped in self._adjacent_swaps())
 
     def is_symmetric(self) -> bool:
+        return all((self - swapped).is_zero() for swapped in self._adjacent_swaps())
+
+    def _adjacent_swaps(self):
+        """self with inputs pos and pos + 1 exchanged, for each pos in turn."""
         for pos in range(self.arity - 1):
             images = list(range(1, self.arity + 1))
             images[pos], images[pos + 1] = images[pos + 1], images[pos]
-            if not (self - self.permute_inputs(tuple(images))).is_zero():
-                return False
-        return True
+            yield self.permute_inputs(tuple(images))
 
     def __eq__(self, other) -> bool:
         return (
@@ -281,18 +270,6 @@ def _trusted(arity: int, dim: int, coeffs: dict) -> MultiMap:
     return m
 
 
-def _normalized(row: dict) -> dict:
-    """`row` without zero coefficients and with integral Fractions as ints:
-    the one cleaning pass over an accumulated row."""
-    out = {}
-    for k, x in row.items():
-        if x:
-            if type(x) is Fraction and x.denominator == 1:
-                x = x.numerator
-            out[k] = x
-    return out
-
-
 def linear_combination(arity: int, dim: int, terms) -> MultiMap:
     """sum of q * m over the (q, m) pairs of `terms`, all of one shape;
     each q must be an int or a Fraction."""
@@ -312,7 +289,7 @@ def linear_combination(arity: int, dim: int, terms) -> MultiMap:
                     out[k] = out.get(k, 0) + q * x
     coeffs = {}
     for idx, row in acc.items():
-        row = _normalized(row)
+        row = {k: _exact(x) for k, x in row.items() if x}
         if row:
             coeffs[idx] = row
     return _trusted(arity, dim, coeffs)
@@ -336,59 +313,75 @@ def _unpack(v: int, width: int, den: int) -> dict:
     row = {}
     k = 0
     while v:
-        skip = ((v & -v).bit_length() - 1) // width
-        v >>= skip * width
-        k += skip
         d = v & mask
+        if not d:
+            skip = ((v & -v).bit_length() - 1) // width
+            v >>= skip * width
+            k += skip
+            d = v & mask
+        v >>= width
         if d >= half:
             d -= mask + 1
-        v = (v - d) >> width
+            v += 1
         row[k] = d if den == 1 else d // den if d % den == 0 else Fraction(d, den)
         k += 1
     return row
 
 
-def contract(arity: int, dim: int, terms) -> MultiMap:
-    """sum of q * (outer o_slot inner) over the (q, outer, slot, inner) terms
-    of `terms`, each a partial composition: `inner` substituted into input
-    `slot` (0-based) of `outer`, with the inputs of `inner` taking that
-    slot's place:
+def _slot_getter(arity: int, images):
+    """The key map of `MultiMap.permute_inputs(images)`, idx -> the key with
+    idx[i] at slot images[i] (1-based), as an itemgetter; None for the
+    identity.  `images` must be a permutation of 1..arity."""
+    if len(images) != arity or set(images) != set(range(1, arity + 1)):
+        raise ValueError(f"not a permutation of 1..{arity}: {images!r}")
+    inverse = sorted(range(arity), key=images.__getitem__)
+    return None if inverse == list(range(arity)) else operator.itemgetter(*inverse)
+
+
+def contract(arity: int, dim: int, terms, v: GroupAlgebraElement | None = None) -> MultiMap:
+    """sum of q * (outer o_slot inner) over the (q, outer, slot, inner)
+    terms of `terms`, each a partial composition: `inner` substituted into
+    input `slot` (0-based) of `outer`, its inputs taking that slot's place:
 
       (x_1 .. x_{k+l-1}) -> outer(x_1 .. x_slot, inner(x_{slot+1} .. x_{slot+l}), ..).
 
-    Every contraction of multilinear maps in the package is this one routine:
-    a bilinear map substituted into a slot, an endomorphism (a 1-linear map)
-    precomposed into a slot (inner) or applied to the output
-    (outer, slot 0), the product applied on either side of the output
-    (`compose(alg.mu, 1, m)` is x_1 m(x_2 ..)), a coordinate vector (a
-    0-linear map, `vector_map`) multiplied in on either side
-    (`compose(alg.mu, 0, v)` is y -> v y), and the signed sums of such terms
-    that make up coboundaries, defects and gauge series.
+    A term (q, outer, slot, inner, images) has its inputs permuted as by
+    `MultiMap.permute_inputs(images)`, at any arity.  A group-algebra element
+    v of degree `arity` acts on the whole sum as by
+    `MultiMap.apply_group_vector(v)`.
 
     Rows are added packed (Kronecker substitution).  With D the lcm of a
     map's denominators and L the common denominator of the term scalars
     q / (D_outer D_inner), each scalar becomes the integer
-    s = q L / (D_outer D_inner), and L times an output coefficient is an
+    s = q L / (D_outer D_inner), and L times a coefficient of the sum is an
     integer of absolute value at most B = sum over terms of
-    |s| max|D_outer x| max|D_inner x| (widest inner row).  In slots of width
-    W = B.bit_length() + 1 each is a balanced digit, so an outer row packs,
-    once per (outer, slot), into sum_k D_outer x_k 2^(k W), and a scaled row
-    adds with one big-integer multiply-add.  Outer rows are grouped by their
-    coordinate in `slot`, and each distinct (pre, post) of their other
-    inputs has a small int position: an inner row sums its scaled packed
-    rows per position, then adds each sum to the accumulator entry of the
-    output key pre + inner input + post.  Each output row is decoded once,
-    at the end.  Each q must be an int or a Fraction; the operands are
-    trusted (validated when built), and so is the result."""
-    live = []
+    |s| max|D_outer x| max|D_inner x| (widest inner row).  Written as
+    (1 / D_v) sum c_p p with integers c_p, v multiplies B by V = sum |c_p|
+    and L by D_v.  In slots of width W = (B V).bit_length() + 1 each output
+    coefficient is a balanced digit, so an outer row packs, once per
+    (outer, slot), into sum_k D_outer x_k 2^(k W), and a scaled row adds with
+    one big-integer multiply-add.  Outer rows are grouped by their coordinate
+    in `slot`, and each distinct (pre, post) of their other inputs has a
+    small int position.  Once per (outer, slot, inner), an inner row sums its
+    packed rows in a list indexed by position and reads back only the
+    positions it touched; each sum, times the s of each term, goes to the
+    accumulator entry of its output key pre + inner input + post, permuted.
+    v is applied to the packed accumulator, and only then is each output row
+    decoded, once, so a sum that vanishes is never decoded.  Each q must be
+    an int or a Fraction; the operands are trusted (validated when built),
+    and so is the result."""
+    if v is not None and v.n != arity:
+        raise ValueError(f"degree-{v.n} group-algebra element on an arity-{arity} map")
+    groups: dict = {}
     stats: dict = {}
-    for q, outer, slot, inner in terms:
+    for q, outer, slot, inner, *images in terms:
         if outer.dim != dim or inner.dim != dim:
             raise ValueError("dimension mismatch")
         if outer.arity + inner.arity - 1 != arity:
             raise ValueError("shape mismatch")
         if not 0 <= slot < outer.arity:
             raise ValueError(f"slot {slot} outside 0..{outer.arity - 1}")
+        getter = _slot_getter(arity, *images) if images else None
         q = _exact(q)
         if q and outer.coeffs and inner.coeffs:
             for m in (outer, inner):
@@ -397,14 +390,20 @@ def contract(arity: int, dim: int, terms) -> MultiMap:
             d_outer, top_outer, _ = stats[id(outer)]
             d_inner, top_inner, wide = stats[id(inner)]
             f = q if d_outer == d_inner == 1 else Fraction(q, d_outer * d_inner)
-            live.append((f, outer, slot, inner, top_outer * top_inner * wide))
-    den = math.lcm(*(f.denominator for f, *_ in live))
-    scalars = [f.numerator * (den // f.denominator) for f, *_ in live]
-    bound = sum(abs(s) * reach for s, (*_, reach) in zip(scalars, live))
+            group = groups.setdefault((id(outer), slot, id(inner)), (outer, slot, inner, []))
+            group[3].append((f, getter, top_outer * top_inner * wide))
+    live = [t for *_, ts in groups.values() for t in ts]
+    den = math.lcm(*(f.denominator for f, _, _ in live))
+    bound = sum(abs(f.numerator) * (den // f.denominator) * reach for f, _, reach in live)
+    d_v = 1
+    if v is not None:
+        d_v = math.lcm(*(q.denominator for q in v.coeffs.values()))
+        v_terms = [(_slot_getter(arity, p.images), int(q * d_v)) for p, q in v.coeffs.items()]
+        bound *= sum(abs(c) for _, c in v_terms)
     width = bound.bit_length() + 1
     packed_groups: dict = {}
     acc: dict = {}
-    for s, (_, outer, slot, inner, _) in zip(scalars, live):
+    for outer, slot, inner, ts in groups.values():
         group = packed_groups.get((id(outer), slot))
         if group is None:
             d_outer = stats[id(outer)][0]
@@ -421,19 +420,35 @@ def contract(arity: int, dim: int, terms) -> MultiMap:
             group = packed_groups[(id(outer), slot)] = (by_coord, list(positions))
         by_coord, pre_posts = group
         d_inner = stats[id(inner)][0]
+        scaled = [(f.numerator * (den // f.denominator), getter) for f, getter, _ in ts]
+        local = [0] * len(pre_posts)
         for jdx, inner_row in inner.coeffs.items():
-            local: dict = {}
+            touched = []
             for a, c in inner_row.items():
                 if d_inner != 1:
                     c = c.numerator * (d_inner // c.denominator)
-                c *= s
                 for pos, packed in by_coord.get(a, ()):
-                    local[pos] = local.get(pos, 0) + c * packed
-            for pos, v in local.items():
-                pre, post = pre_posts[pos]
-                key = pre + jdx + post
-                acc[key] = acc.get(key, 0) + v
-    coeffs = {key: _unpack(v, width, den) for key, v in acc.items() if v}
+                    x = local[pos]
+                    if not x:
+                        touched.append(pos)
+                    local[pos] = x + c * packed
+            for pos in touched:
+                x = local[pos]
+                if x:
+                    local[pos] = 0
+                    pre, post = pre_posts[pos]
+                    out = pre + jdx + post
+                    for s, getter in scaled:
+                        key = out if getter is None else getter(out)
+                        acc[key] = acc.get(key, 0) + s * x
+    if v is not None:
+        nonzero = [(out, x) for out, x in acc.items() if x]
+        acc = {}
+        for getter, c in v_terms:
+            for out, x in nonzero:
+                key = out if getter is None else getter(out)
+                acc[key] = acc.get(key, 0) + c * x
+    coeffs = {key: _unpack(x, width, den * d_v) for key, x in acc.items() if x}
     return _trusted(arity, dim, coeffs)
 
 
@@ -474,28 +489,30 @@ def endo_to_map(f) -> MultiMap:
 
 def evaluate(alg: FinAlg, e: MultilinearIdentity) -> MultiMap:
     """Substitute the algebra product at each internal node; the result is the
-    zero tensor iff the algebra satisfies the identity."""
+    zero tensor iff the algebra satisfies the identity.  Each monomial is one
+    `contract` term: its tree's outermost product, inputs permuted by its
+    labels."""
     n = alg.dim
-    mu = alg.mu
-    trees: dict = {}
+    trees: dict = {("m", LEAF, LEAF): alg.mu}
+
+    def root(shape) -> tuple:
+        """(outer, slot, inner) with the shape's tree of products, inputs in
+        leaf order, equal to outer o_slot inner."""
+        if shape is LEAF:
+            return identity_map(n), 0, identity_map(n)
+        op, left, right = shape
+        if op != "m":
+            raise ValueError(f"cannot evaluate the formal operation {op!r}")
+        if left is LEAF:
+            return alg.mu, 1, identity_map(n) if right is LEAF else tree(right)
+        return alg.mu if right is LEAF else tree((op, LEAF, right)), 0, tree(left)
 
     def tree(shape) -> MultiMap:
-        """The shape's tree of products, inputs in leaf order."""
-        if shape is LEAF:
-            return identity_map(n)
         if shape not in trees:
-            op, left, right = shape
-            if op != "m":
-                raise ValueError(f"cannot evaluate the formal operation {op!r}")
-            m = mu if right is LEAF else compose(mu, 1, tree(right))
-            trees[shape] = m if left is LEAF else compose(m, 0, tree(left))
+            trees[shape] = compose(*root(shape))
         return trees[shape]
 
-    return linear_combination(
-        e.arity,
-        n,
-        ((q, tree(shape).permute_inputs(labels)) for (shape, labels), q in e.coeffs.items()),
-    )
+    return contract(e.arity, n, ((q, *root(shape), labels) for (shape, labels), q in e.coeffs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +545,7 @@ def is_lie_admissible(alg: FinAlg) -> bool:
 
 def jacobi_defect(alg: FinAlg) -> MultiMap:
     """J(x,y,z) = (xy)z + (yz)x + (zx)y for the algebra's own product."""
-    return compose(alg.mu, 0, alg.mu).apply_group_vector(ga(3, (1, ID3), (1, C3), (1, C3SQ)))
+    return contract(3, alg.dim, ((1, alg.mu, 0, alg.mu),), ga(3, (1, ID3), (1, C3), (1, C3SQ)))
 
 
 def satisfies_jacobi(alg: FinAlg) -> bool:
@@ -547,10 +564,8 @@ def jordan_identity_defect(alg: FinAlg) -> MultiMap:
     mu = alg.mu
     right = compose(mu, 1, mu)
     # Both trees take their inputs as (x_a, y, x_b, x_c).
-    defect = contract(4, alg.dim, ((1, right, 0, mu), (-1, mu, 1, right)))
-    return defect.apply_group_vector(
-        ga(4, *((1, Perm(4, (a + 1, 4, b + 1, c + 1))) for a, b, c in itertools.permutations(range(3))))
-    )
+    perms = ga(4, *((1, Perm(4, (a + 1, 4, b + 1, c + 1))) for a, b, c in itertools.permutations(range(3))))
+    return contract(4, alg.dim, ((1, right, 0, mu), (-1, mu, 1, right)), perms)
 
 
 def satisfies_jordan_identity(alg: FinAlg) -> bool:
@@ -618,11 +633,7 @@ def depolarize(bullet: FinAlg, bracket: FinAlg) -> FinAlg:
 def leibniz_defect_pair(bullet: FinAlg, bracket: FinAlg) -> MultiMap:
     """{x.y, z} - x.{y,z} - {x,z}.y on basis triples."""
     dot, br = bullet.mu, bracket.mu
-    return (
-        compose(br, 0, dot)
-        - compose(dot, 1, br)
-        - compose(dot, 0, br).permute_inputs((1, 3, 2))
-    )
+    return contract(3, bullet.dim, ((1, br, 0, dot), (-1, dot, 1, br), (-1, dot, 0, br, (1, 3, 2))))
 
 
 def is_nonassociative_poisson(bullet: FinAlg, bracket: FinAlg) -> bool:
@@ -736,9 +747,9 @@ def algebra_to_json(alg: FinAlg) -> dict:
 
 def multimap_from_json(doc, dim: int, arity: int = 2) -> MultiMap:
     """Nested arrays of 'p/q' strings, indexed input-first then output, read
-    in one pass: each level must be a list of length dim, every cell is
-    parsed (a malformed zero is rejected too), and each output vector is
-    kept as the sparse row of its nonzero coefficients."""
+    in one pass: each level must be a list of length dim, every cell but the
+    string "0" is parsed (a malformed zero is rejected too), and each output
+    vector is kept as the sparse row of its nonzero coefficients."""
     values = {}
 
     def rec(node, idx):
@@ -751,9 +762,10 @@ def multimap_from_json(doc, dim: int, arity: int = 2) -> MultiMap:
             return
         row = {}
         for k, x in enumerate(node):
-            q = _parse_rational(x)
-            if q:
-                row[k] = q
+            if x != "0":  # most cells of a deformation document
+                q = _parse_rational(x)
+                if q:
+                    row[k] = q
         if row:
             values[idx] = row
 

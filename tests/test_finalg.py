@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -55,10 +56,14 @@ from wassoc.linalg import Matrix
 from wassoc.symgroup import (
     ID3,
     T13,
+    GroupAlgebraElement,
     Perm,
+    all_perms,
     ga,
+    identity_perm,
     leibniz_vector,
     lie_admissible_vector,
+    transposition,
     wa_vector,
 )
 
@@ -96,6 +101,38 @@ def reference_compose(outer: MultiMap, slot: int, inner: MultiMap) -> MultiMap:
             for pre, post, row in by_coord.get(a, ()):
                 _reference_add_scaled(acc, pre + jdx + post, c, row)
     return MultiMap(outer.arity + inner.arity - 1, outer.dim, acc)
+
+
+def reference_permute(m: MultiMap, images: tuple[int, ...]) -> MultiMap:
+    """`MultiMap.permute_inputs` as it was written before it shared the key
+    maps of `contract`: each key rebuilt slot by slot."""
+    targets = [p - 1 for p in images]
+    out = {}
+    for idx, row in m.coeffs.items():
+        key = [0] * m.arity
+        for t, i in zip(targets, idx):
+            key[t] = i
+        out[tuple(key)] = row
+    return MultiMap(m.arity, m.dim, out)
+
+
+def reference_symmetrize(m: MultiMap, v) -> MultiMap:
+    """sum over the terms q p of v of q times m with inputs permuted by p."""
+    return reference_linear_combination(
+        m.arity, m.dim, ((q, reference_permute(m, p.images)) for p, q in v.coeffs.items())
+    )
+
+
+def reference_contract(arity: int, dim: int, terms, v=None) -> MultiMap:
+    """What `contract` computed before it permuted and symmetrized inside
+    its packed accumulator: every composition decoded, permuted, re-added,
+    and the sum symmetrized by v afterwards."""
+    total = reference_linear_combination(arity, dim, (
+        (q, reference_permute(reference_compose(outer, slot, inner), *images) if images
+         else reference_compose(outer, slot, inner))
+        for q, outer, slot, inner, *images in terms
+    ))
+    return total if v is None else reference_symmetrize(total, v)
 
 
 def assert_normalized(m: MultiMap):
@@ -449,11 +486,22 @@ def test_multimap_from_json_matches_dense_reference(rng):
     docs.append(([["0/1", "1/1"], ["1/1"]], 2, 1))
     docs.append(([[["1/1", "0/1"], ["0/1", "0/1"]]], 2, 2))
     docs.append(([["0/1", 0.0], ["1/1", "0/1"]], 2, 1))
+    # The literal "0" cells the reader skips, beside zeros it must still
+    # parse: other spellings of zero are read, malformed ones rejected, as
+    # the reference reads them.
+    docs.append(([["0", "0"], ["0", "0"]], 2, 1))
+    docs.append(([["0", "-0"], ["00", "0/5"], [0, "0"]], 2, 1))
+    docs.append(([["0", "3/2", "0"], ["0", "0", "-1"], ["0", "0", "0"]], 3, 1))
+    for bad in ("0/0", 0.0, True, False, None, "0/", " 0", "0.0"):
+        docs.append(([["0", "0"], ["0", bad]], 2, 1))
     for doc, dim, arity in docs:
         want = _json_outcome(reference_multimap_from_json, doc, dim, arity)
         assert _json_outcome(multimap_from_json, doc, dim, arity) == want
         if want[0] == "map":
             assert all(row and all(row.values()) for row in want[1].values())
+    for bad in ("0/0", 0.0, True, None, "0/"):
+        with pytest.raises(AlgebraFormatError):
+            multimap_from_json([["0", "0"], [bad, "0"]], 2, 1)
 
 
 def _three_row_map() -> MultiMap:
@@ -488,30 +536,38 @@ def reference_wa_symmetrize3(t: MultiMap) -> MultiMap:
     t(x,y,z) + t(y,z,x) - t(y,x,z)."""
     if t.arity != 3:
         raise ValueError("needs arity 3")
-    return linear_combination(
-        3, t.dim, ((1, t), (1, t.permute_inputs((2, 3, 1))), (-1, t.permute_inputs((2, 1, 3))))
+    return reference_linear_combination(
+        3, t.dim, ((1, t), (1, reference_permute(t, (2, 3, 1))), (-1, reference_permute(t, (2, 1, 3))))
     )
 
 
 def reference_leibniz_defect(dot: MultiMap, br: MultiMap) -> MultiMap:
     """{x.y, z} - x.{y,z} - {x,z}.y on basis triples."""
-    return compose(br, 0, dot) - compose(dot, 1, br) - compose(dot, 0, br).permute_inputs((1, 3, 2))
+    return reference_linear_combination(3, dot.dim, (
+        (1, reference_compose(br, 0, dot)),
+        (-1, reference_compose(dot, 1, br)),
+        (-1, reference_permute(reference_compose(dot, 0, br), (1, 3, 2))),
+    ))
 
 
 def reference_jacobi_defect(mu: MultiMap) -> MultiMap:
     """(xy)z + (yz)x + (zx)y."""
-    left = compose(mu, 0, mu)
-    return left + left.permute_inputs((2, 3, 1)) + left.permute_inputs((3, 1, 2))
+    left = reference_compose(mu, 0, mu)
+    return reference_linear_combination(
+        3, mu.dim, ((1, left), (1, reference_permute(left, (2, 3, 1))), (1, reference_permute(left, (3, 1, 2))))
+    )
 
 
 def reference_jordan_identity_defect(mu: MultiMap) -> MultiMap:
     """The six permuted copies of (x_a y)(x_b x_c) - x_a (y (x_b x_c))."""
-    right = compose(mu, 1, mu)
-    defect = contract(4, mu.dim, ((1, right, 0, mu), (-1, mu, 1, right)))
-    return linear_combination(
+    right = reference_compose(mu, 1, mu)
+    defect = reference_linear_combination(
+        4, mu.dim, ((1, reference_compose(right, 0, mu)), (-1, reference_compose(mu, 1, right)))
+    )
+    return reference_linear_combination(
         4,
         mu.dim,
-        ((1, defect.permute_inputs((a + 1, 4, b + 1, c + 1)))
+        ((1, reference_permute(defect, (a + 1, 4, b + 1, c + 1)))
          for a, b, c in itertools.permutations(range(3))),
     )
 
@@ -908,6 +964,151 @@ def test_contract_in_dimension_one(rng):
         assert_contract_matches_reference(arity, 1, terms)
         assert_contract_matches_reference(arity, 1, terms + negated[::2])
         assert contract(arity, 1, terms + negated).is_zero()
+
+
+# Permuted terms and the symmetrization by a group-algebra element v, against
+# `reference_contract`: each composition decoded, permuted and re-added, and v
+# applied to the decoded sum.
+
+def _permuted_terms(arity: int, dim: int, rng) -> list:
+    """Terms of every outer/inner arity pair giving `arity` inputs, each
+    (outer, slot, inner) once plain and under random images, so that one
+    composition carries several permutations (identity first in one, last
+    in the next), with Fraction scalars, Fraction and integer maps."""
+    terms = []
+    for outer_arity in range(1, arity + 1):
+        inner_arity = arity + 1 - outer_arity
+        outer = random_fraction_multimap(outer_arity, dim, rng)
+        inner = rng.choice((random_fraction_multimap, random_multimap))(inner_arity, dim, rng)
+        slot = rng.randrange(outer_arity)
+        images = [tuple(rng.sample(range(1, arity + 1), arity)) for _ in range(2)]
+        scalars = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)]
+        group = [(scalars[0], outer, slot, inner, images[0]), (scalars[1], outer, slot, inner)]
+        group.append((scalars[2], outer, slot, inner, images[1]))
+        terms += group if outer_arity % 2 else group[::-1]
+    return terms
+
+
+def _fraction_element(n: int, rng) -> GroupAlgebraElement:
+    return GroupAlgebraElement(
+        n, {p: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for p in all_perms(n)}
+    )
+
+
+def test_permuted_terms_match_reference(rng):
+    for arity in range(1, 7):
+        dim = 3 if arity <= 4 else 2
+        terms = _permuted_terms(arity, dim, rng)
+        negated = [(-q, *rest) for q, *rest in terms]
+        for case in (terms, terms + negated[::2], terms[:1], []):
+            got = contract(arity, dim, case)
+            assert got == reference_contract(arity, dim, case)
+            assert_normalized(got)
+        assert contract(arity, dim, terms + negated).is_zero()
+        # The same composition under every permutation of its inputs, plus and
+        # minus: the sum vanishes although no two terms share a key map.
+        _, outer, slot, inner, *_ = terms[0]
+        perms = [p.images for p in all_perms(arity)] if 2 <= arity <= 4 else [tuple(range(1, arity + 1))]
+        every = [(sign, outer, slot, inner, images) for images in perms for sign in (1, -1)]
+        assert contract(arity, dim, every).is_zero()
+
+
+def test_symmetrization_matches_reference(rng):
+    for arity in (2, 3, 4):
+        dim = 3
+        terms = _permuted_terms(arity, dim, rng)
+        half_id_t12 = GroupAlgebraElement(
+            arity, {identity_perm(arity): Fraction(1, 2), transposition(arity, 1, 2): Fraction(1, 2)}
+        )
+        vectors = [half_id_t12, _fraction_element(arity, rng), random_group_element(arity, rng),
+                   GroupAlgebraElement(arity, {})]
+        if arity == 3:
+            vectors += [wa_vector(), lie_admissible_vector(), leibniz_vector()]
+        for v in vectors:
+            for case in (terms, terms[:2], []):
+                got = contract(arity, dim, case, v)
+                assert got == reference_contract(arity, dim, case, v)
+                assert_normalized(got)
+        # A sum symmetric in inputs 1 and 2 vanishes under Id - (12).
+        _, outer, slot, inner, *_ = terms[1]
+        swap = (2, 1) + tuple(range(3, arity + 1))
+        symmetric = [(Fraction(2, 3), outer, slot, inner), (Fraction(2, 3), outer, slot, inner, swap)]
+        id_minus_t12 = ga(arity, (1, identity_perm(arity)), (-1, transposition(arity, 1, 2)))
+        assert not contract(arity, dim, symmetric).is_zero()
+        assert contract(arity, dim, symmetric, id_minus_t12).is_zero()
+        assert contract(arity, dim, symmetric, half_id_t12) == contract(arity, dim, symmetric)
+
+
+def test_symmetrization_with_coefficients_above_2_64(rng):
+    dim = 3
+    big = 2**64
+
+    def huge_map(arity):
+        return MultiMap.from_function(arity, dim, lambda *idx: tuple(
+            Fraction(rng.randint(-(big**2), big**2), rng.randint(big, 4 * big))
+            if rng.random() < 0.5
+            else rng.choice((0, rng.randint(-(big**3), big**3)))
+            for _ in range(dim)
+        ))
+
+    outer, inner = huge_map(2), huge_map(2)
+    terms = [(Fraction(big + 1, 3**45), outer, 0, inner), (-(big**2) - 7, outer, 1, inner, (3, 1, 2))]
+    v = ga(3, (Fraction(big + 1, 3), ID3), (Fraction(-(2**70), 7), T13), (big**2, Perm(3, (2, 3, 1))))
+    got = contract(3, dim, terms, v)
+    assert got == reference_contract(3, dim, terms, v)
+    assert_normalized(got)
+    assert any(type(x) is Fraction and x.denominator > big for row in got.coeffs.values() for x in row.values())
+    negated = [(-q, *rest) for q, *rest in terms]
+    assert contract(3, dim, terms + negated, v).is_zero()
+
+
+def test_inner_row_position_cancels_and_refills():
+    """Rows at coordinates 0 and 1 of slot 0 are equal, so the inner row
+    (1, -1, 1) takes each position to zero and back: the row must be read
+    once, as the row at coordinate 2; the row (1, -1, 0) leaves zero."""
+    dim = 3
+    same = {j: (j + 1, -2, Fraction(1, 3)) for j in range(dim)}
+    outer = MultiMap.from_function(2, dim, lambda a, j: same[j] if a < 2 else (0, j, 5))
+    for inner_row, want in (((1, -1, 1), lambda j: (0, j, 5)), ((1, -1, 0), lambda j: (0, 0, 0))):
+        inner = MultiMap.from_function(1, dim, lambda i: inner_row)
+        got = contract(2, dim, [(1, outer, 0, inner), (2, outer, 0, inner, (2, 1))])
+        assert got == reference_contract(2, dim, [(1, outer, 0, inner), (2, outer, 0, inner, (2, 1))])
+        assert compose(outer, 0, inner) == MultiMap.from_function(2, dim, lambda i, j: want(j))
+
+
+def test_symmetrized_paths_allocate_nothing_sized_by_dim():
+    """One product entry in dimension 100000, commutative and nilpotent:
+    identity evaluation, the symmetrized defects, the degree-2 coboundary and
+    the group action stay within the size of the input (an identity map on
+    the whole space alone would take tens of MB)."""
+    from wassoc.cohomology import CochainContext, wa_delta2
+
+    alg = FinAlg.from_products(100000, {(1, 1): {2: 1}})
+    tracemalloc.start()
+    try:
+        for check in (is_associative, is_weakly_associative, is_flexible, is_lie_admissible, is_jordan,
+                      satisfies_jacobi):
+            assert check(alg)
+        assert leibniz_defect_pair(alg, alg).is_zero()
+        assert wa_delta2(CochainContext(alg), alg.mu).is_zero()
+        assert evaluate(alg, associator()).apply_group_vector(wa_vector()).is_zero()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_contract_rejects_bad_permutations_and_group_elements(rng):
+    f, g = random_fraction_multimap(2, 3, rng), random_fraction_multimap(2, 3, rng)
+    for images in [(1, 1, 3), (1, 2), (0, 1, 2), (1, 2, 3, 4), (2, 3, 4)]:
+        for q, outer in ((1, f), (0, f), (1, MultiMap.zero(2, 3))):
+            with pytest.raises(ValueError, match="not a permutation of 1..3"):
+                contract(3, 3, [(q, outer, 0, g, images)])
+    for v in (ga(2, (1, Perm(2, (2, 1)))), random_group_element(4, rng)):
+        with pytest.raises(ValueError, match=f"degree-{v.n} group-algebra element on an arity-3 map"):
+            contract(3, 3, [(1, f, 0, g)], v)
+        with pytest.raises(ValueError, match=f"degree-{v.n} group-algebra element"):
+            contract(3, 3, [], v)
 
 
 def _int_matrix(rng, n, bound):
