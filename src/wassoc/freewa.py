@@ -15,7 +15,6 @@ them, so the chain complex (`homology`) loads only `linalg` and this module."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
 
@@ -71,10 +70,20 @@ class DegreeOverflowError(ValueError):
     """Raised when a product would exceed the built degree bound."""
 
 
-@dataclass
 class GradedBasis:
-    max_degree: int
-    elements: list[list[Label]]  # elements[d] = canonical labels of degree d
+    __slots__ = ("max_degree", "elements")
+
+    def __init__(self, max_degree: int, elements: list[list[Label]]):
+        self.max_degree = max_degree
+        self.elements = elements  # elements[d] = canonical labels of degree d
+
+    def __eq__(self, other):
+        if type(other) is not GradedBasis:
+            return NotImplemented
+        return (self.max_degree, self.elements) == (other.max_degree, other.elements)
+
+    def __repr__(self):
+        return f"GradedBasis(max_degree={self.max_degree!r}, elements={self.elements!r})"
 
     def all_labels(self) -> list[Label]:
         return [l for level in self.elements for l in level]
@@ -143,7 +152,6 @@ def multiply(u: Label, v: Label, max_degree: int | None = None) -> Label:
     return Label("pair", (u, v))
 
 
-@dataclass
 class FreeTruncation:
     """Structure constants of the degree-truncated free algebra.
 
@@ -152,10 +160,13 @@ class FreeTruncation:
     within the bound to be trusted.
     """
 
-    algebra: FinAlg
-    labels: list[Label]
-    index: dict
-    max_degree: int
+    __slots__ = ("algebra", "labels", "index", "max_degree")
+
+    def __init__(self, algebra: FinAlg, labels: list[Label], index: dict, max_degree: int):
+        self.algebra = algebra
+        self.labels = labels
+        self.index = index
+        self.max_degree = max_degree
 
 
 def as_truncated_algebra(basis: GradedBasis, max_degree: int | None = None) -> FreeTruncation:

@@ -18,9 +18,14 @@ product in a degree-k boundary stays in degree k, so homology in degree k is
 exact as soon as the degree bound is at least k.  Chains are grown one slot
 at a time from the labels grouped by degree.  A boundary is filled one term
 of its formula at a time over the whole source basis, the wa variants being
-signed sums of b_n on reordered chains, and is kept as sparse integer
-columns `{target chain index: coefficient}`; ranks are taken on those
-columns with `linalg.sparse_rank`.
+signed sums of b_n on reordered chains, as sparse integer columns
+`{target chain index: coefficient}`; ranks are taken on those columns with
+`linalg.sparse_rank`.  Chain lists and columns are built for the one
+homology dimension, degree of `table` and `composition_vanishing_report`
+(one pass per degree, shared by both) or dense `boundary` call that needs
+them and then dropped: a complex keeps only its labels grouped by degree,
+the product table, the chain dimensions, the ranks and the composition
+checks.
 
 The module imports only `freewa` and `linalg` at module level;
 `b1b2_symbolic_identity` imports `identities` and `symgroup` when called,
@@ -29,7 +34,6 @@ so building a complex loads no other part of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -37,17 +41,20 @@ from .freewa import Label, build, multiply
 from .linalg import Matrix, sparse_rank
 
 
-@dataclass
 class ChainComplex:
     """Chains on the labels of degree at most `max_degree` (`index` maps a
     label to its position in `labels`).  The labels grouped by degree, the
-    product table, chain bases, boundaries and ranks are computed once and
-    kept."""
+    product table, the chain dimensions, the ranks and the composition
+    checks are computed once and kept; chain lists and boundary columns are
+    rebuilt for each call that needs them."""
 
-    labels: list[Label]
-    index: dict[Label, int]
-    max_degree: int
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("labels", "index", "max_degree", "_cache")
+
+    def __init__(self, labels: list[Label], index: dict[Label, int], max_degree: int):
+        self.labels = labels
+        self.index = index
+        self.max_degree = max_degree
+        self._cache: dict = {}
 
     @staticmethod
     def up_to_degree(max_degree: int) -> "ChainComplex":
@@ -66,14 +73,12 @@ class ChainComplex:
                 f"degree {k} beyond the trusted bound {self.max_degree}"
             )
 
-    def _basis(self, n: int, k: int) -> list[tuple[int, ...]]:
+    def _chains(self, n: int, k: int) -> list[tuple[int, ...]]:
+        """C_n^k, built afresh; its length is kept as the chain dimension.
+        Grow the prefixes one slot at a time, each slot drawing the labels
+        of every degree that still fits, degree by degree; the last slot
+        takes exactly the remaining degree.  Lex order in the labels."""
         self._check_degree(k)
-        return self._cached(("basis", n, k), lambda: self._enumerate_chains(n, k))
-
-    def _enumerate_chains(self, n: int, k: int) -> list[tuple[int, ...]]:
-        """Grow the prefixes one slot at a time, each slot drawing the
-        labels of every degree that still fits, degree by degree; the last
-        slot takes exactly the remaining degree.  Lex order in the labels."""
         by_degree = self._cached("by_degree", self._labels_by_degree)
         prefixes = [((), k)]
         for _ in range(n):
@@ -83,11 +88,13 @@ class ChainComplex:
                 for d in range(remaining + 1)
                 for i in by_degree.get(d, ())
             ]
-        return [
+        chains = [
             prefix + (i,)
             for prefix, remaining in prefixes
             for i in by_degree.get(remaining, ())
         ]
+        self._cache[("dim", n, k)] = len(chains)
+        return chains
 
     def _labels_by_degree(self) -> dict[int, list[int]]:
         by_degree: dict[int, list[int]] = {}
@@ -97,10 +104,11 @@ class ChainComplex:
 
     def chain_basis(self, n: int, k: int) -> list[tuple[int, ...]]:
         """Index tuples (m, a1..an) with degrees summing to k, lex order."""
-        return list(self._basis(n, k))
+        return self._chains(n, k)
 
     def chain_dim(self, n: int, k: int) -> int:
-        return len(self._basis(n, k))
+        dim = self._cache.get(("dim", n, k))
+        return len(self._chains(n, k)) if dim is None else dim
 
     def _products(self) -> dict[int, int]:
         """Product table: the index of labels i * j under the key
@@ -142,33 +150,35 @@ class ChainComplex:
             )
         yield (-1) ** n, ((prod[c[n] * w + c[0]],) + c[1:n] for c in chains)
 
-    def _columns(self, n: int, k: int, variant: str) -> list[dict[int, int]]:
+    def _columns(self, n: int, k: int, variant: str, chains: dict | None = None) -> list[dict[int, int]]:
         """b_n (or its wa variant) on C_n^k as sparse integer columns: one
         {index in C_(n-1)^k: coefficient} per source chain, zeros dropped.
-        The columns are filled one term of the formula at a time."""
+        The columns are filled one term of the formula at a time.  `chains`
+        maps m to C_m^k for one caller's calls in degree k and is filled as
+        needed, so those calls build each chain list once."""
         if n not in (1, 2, 3):
             raise ValueError("chain length must be 1, 2 or 3")
         if variant not in ("plain", "wa"):
             raise ValueError(f"unknown variant {variant!r}")
-
-        def compute():
-            dst_index = {c: i for i, c in enumerate(self._basis(n - 1, k))}
-            prod = self._cached("products", self._products)
-            basis = self._basis(n, k)
-            identity = tuple(range(n + 1))
-            cols: list[dict[int, int]] = [{} for _ in basis]
-            for coeff, order in self._sources(n, variant):
-                chains = basis if order == identity else list(map(itemgetter(*order), basis))
-                for sign, targets in self._faces(n, chains, prod):
-                    q = coeff * sign
-                    for col, t in zip(cols, map(dst_index.__getitem__, targets)):
-                        col[t] = col.get(t, 0) + q
-            return [
-                col if all(col.values()) else {t: c for t, c in col.items() if c}
-                for col in cols
-            ]
-
-        return self._cached(("boundary", n, k, variant), compute)
+        chains = {} if chains is None else chains
+        for m in (n - 1, n):
+            if m not in chains:
+                chains[m] = self._chains(m, k)
+        dst_index = {c: i for i, c in enumerate(chains[n - 1])}
+        prod = self._cached("products", self._products)
+        basis = chains[n]
+        identity = tuple(range(n + 1))
+        cols: list[dict[int, int]] = [{} for _ in basis]
+        for coeff, order in self._sources(n, variant):
+            chains = basis if order == identity else list(map(itemgetter(*order), basis))
+            for sign, targets in self._faces(n, chains, prod):
+                q = coeff * sign
+                for col, t in zip(cols, map(dst_index.__getitem__, targets)):
+                    col[t] = col.get(t, 0) + q
+        return [
+            col if all(col.values()) else {t: c for t, c in col.items() if c}
+            for col in cols
+        ]
 
     def boundary(self, n: int, k: int, variant: str = "plain") -> Matrix:
         """Matrix of b_n (or its wa variant) from C_n^k to C_(n-1)^k."""
@@ -180,23 +190,46 @@ class ChainComplex:
                 entries[i][j] = Fraction(c)
         return Matrix(len(entries), len(cols), tuple(map(tuple, entries)))
 
-    def _rank(self, n: int, k: int) -> int:
+    def _rank(self, n: int, k: int, chains: dict | None = None) -> int:
         """Rank in degree k of the boundary b_n that homology uses: b1, b2
         and b3^wa."""
         variant = "wa" if n == 3 else "plain"
-        return self._cached(("rank", n, k), lambda: sparse_rank(self._columns(n, k, variant)))
+        return self._cached(("rank", n, k), lambda: sparse_rank(self._columns(n, k, variant, chains)))
 
     def homology_dim(self, n: int, k: int) -> int:
         """H_0 = C_0 / im b_1;  H_1 = ker b_1 / im b_2;  H_2 = ker b_2 / im b_3^wa."""
         self._check_degree(k)
         if n not in (0, 1, 2):
             raise ValueError("homology implemented for chain degrees 0, 1, 2")
-        kernel = self.chain_dim(n, k) - (self._rank(n, k) if n else 0)
-        return kernel - self._rank(n + 1, k)
+        chains: dict = {}
+        image = self._rank(n + 1, k, chains)
+        return self.chain_dim(n, k) - (self._rank(n, k, chains) if n else 0) - image
+
+    def _degree(self, k: int, ranks: bool = False) -> tuple[bool, bool, bool]:
+        """The checks b1 b2 = 0, b2 b3^wa = 0 and b2 = b2^wa in degree k,
+        kept.  b1, b2, b2^wa and b3^wa are built once each, and with `ranks`
+        the ranks of b1, b2 and b3^wa are taken from the same columns, so
+        `table` and `composition_vanishing_report` build a degree once."""
+
+        def compute():
+            chains: dict = {}
+            b1 = self._columns(1, k, "plain", chains)
+            b2 = self._columns(2, k, "plain", chains)
+            checks = (_composite_is_zero(b1, b2), b2 == self._columns(2, k, "wa", chains))
+            b3 = self._columns(3, k, "wa", chains)
+            if ranks:
+                for n, cols in ((1, b1), (2, b2), (3, b3)):
+                    if ("rank", n, k) not in self._cache:
+                        self._cache["rank", n, k] = sparse_rank(cols)
+            return checks[0], _composite_is_zero(b2, b3), checks[1]
+
+        return self._cached(("checks", k), compute)
 
     def table(self, max_degree: int | None = None) -> list[dict]:
         """Rows {n, k, dimC, rank, dimH} for n = 0..2, k = 0..bound."""
         bound = self.max_degree if max_degree is None else max_degree
+        for k in range(bound + 1):
+            self._degree(k, ranks=True)
         return [
             {
                 "n": n,
@@ -212,27 +245,16 @@ class ChainComplex:
     def composition_vanishing_report(self, max_degree: int | None = None) -> dict:
         """Checks on the sparse columns: b1 b2 = 0 and b2 b3^wa = 0 in every
         degree up to the bound, plus agreement of b2 with its wa variant (the
-        algebra is commutative, so the two boundaries coincide)."""
+        algebra is commutative, so the two boundaries coincide).  A degree
+        already checked by `table` is not built again."""
         bound = self.max_degree if max_degree is None else max_degree
-        b1b2 = []
-        b2b3 = []
-        b2_variants_equal = []
-        for k in range(0, bound + 1):
-            b2 = self._columns(2, k, "plain")
-            b1b2.append(_composite_is_zero(self._columns(1, k, "plain"), b2))
-            b2b3.append(_composite_is_zero(b2, self._columns(3, k, "wa")))
-            b2_variants_equal.append(b2 == self._columns(2, k, "wa"))
+        checks = [self._degree(k) for k in range(bound + 1)]
         return {
-            "b1b2_zero": all(b1b2),
-            "b2b3wa_zero": all(b2b3),
-            "b2_equals_b2wa": all(b2_variants_equal),
+            "b1b2_zero": all(c[0] for c in checks),
+            "b2b3wa_zero": all(c[1] for c in checks),
+            "b2_equals_b2wa": all(c[2] for c in checks),
             "per_degree": {
-                k: {
-                    "b1b2": b1b2[k],
-                    "b2b3wa": b2b3[k],
-                    "b2_eq_b2wa": b2_variants_equal[k],
-                }
-                for k in range(bound + 1)
+                k: dict(zip(("b1b2", "b2b3wa", "b2_eq_b2wa"), c)) for k, c in enumerate(checks)
             },
         }
 

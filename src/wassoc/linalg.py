@@ -4,11 +4,14 @@ Every dimension, rank and span fact computed by this package reduces to one
 forward elimination, so the routines here are exact.  The elimination is
 fraction-free: each row is cleared of denominators and stored as a sparse
 `{column: int}` row divided by the gcd of its entries, and rows are combined
-as `a*row - b*pivot` with coprime `a, b`.  `sparse_rank` (integer rows given
-as `{column: int}` dicts) stops there.  `sparse_rref` takes sparse rational
-rows (`{column: int | Fraction}` plus a column count), back-substitutes and
-divides the pivot rows out into sparse `Fraction` rows: the unique reduced
-row-echelon form over Q, so a span is its RREF rows and two spans are equal
+as `a*row - b*pivot` with coprime `a, b`.  Its order is fixed and
+fill-reducing: singleton rows are peeled first, then the other rows are
+reduced shortest first (structured Gaussian elimination).  `sparse_rank`
+(integer rows given as `{column: int}` dicts) stops there.  `sparse_rref`
+takes sparse rational rows (`{column: int | Fraction}` plus a column
+count), back-substitutes and divides the pivot rows out into sparse
+`Fraction` rows: the unique reduced row-echelon form over Q, whatever order
+the rows are reduced in, so a span is its RREF rows and two spans are equal
 iff those rows are.  `sparse_reduce` takes normal forms modulo such rows (a
 vector lies in the span iff its normal form is empty) and `sparse_kernel`
 reads a null-space basis off them, as sparse rows too.
@@ -22,11 +25,10 @@ results with `dense_row`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -48,13 +50,33 @@ def vector(entries: Iterable) -> Vector:
     return tuple(as_rational(x) for x in entries)
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix with Fraction entries, row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[Vector, ...]
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[Vector, ...]):
+        for name, value in (("rows", rows), ("cols", cols), ("entries", entries)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Matrix")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not Matrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+
+    def __reduce__(self):  # by default copy and pickle set the slots through __setattr__
+        return Matrix, (self.rows, self.cols, self.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
@@ -154,10 +176,27 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Forward elimination of nonzero integer rows: returns primitive echelon
-    rows keyed by their leading column.  Each row is reduced on its leading
-    column until that column has no pivot yet."""
+    rows keyed by their leading column.
+
+    Singleton rows are peeled first, in rounds until none is left: each
+    round fixes the column of every singleton row with the pivot {j: 1} and
+    deletes those columns from every row without arithmetic (a touched row
+    is copied, so the caller's rows are never mutated).  The remaining rows
+    are then taken shortest first, ties in the order given, and each is
+    reduced on its leading column until that column has no pivot yet.  The
+    order depends only on the rows, so the pivots are deterministic."""
+    rows = list(rows)
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    peeled = {j: {j: 1} for row in rows if len(row) == 1 for j in row}
+    while peeled:
+        pivots.update(peeled)
+        cols = peeled.keys()
+        rows = [
+            row if cols.isdisjoint(row) else {j: v for j, v in row.items() if j not in cols}
+            for row in rows
+        ]
+        peeled = {j: {j: 1} for row in rows if len(row) == 1 for j in row}
+    for row in sorted(filter(None, rows), key=len):
         row = _primitive(row)
         while row:
             lead = min(row)

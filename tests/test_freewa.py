@@ -124,3 +124,9 @@ def test_basis_order_deterministic():
     b = build(6).all_labels()
     assert a == b
     assert [l.degree for l in a] == sorted(l.degree for l in a)
+
+
+def test_graded_basis_compares_and_prints_by_value():
+    assert build(5) == build(5) and build(5) != build(4)
+    assert build(3) != build(3).all_labels()
+    assert repr(build(2)) == f"GradedBasis(max_degree=2, elements={build(2).elements!r})"

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -273,10 +274,71 @@ def test_boundary_rejects_bad_arguments(chain_complex6):
         chain_complex6.homology_dim(3, 2)
 
 
-def test_h1_equals_previous_dimension_through_degree_13():
-    cc = ChainComplex.up_to_degree(13)
+@pytest.fixture(scope="module")
+def complex13():
+    return ChainComplex.up_to_degree(13)
+
+
+def test_h1_equals_previous_dimension_through_degree_13(complex13):
+    cc = complex13
     dims = dimension_sequence(13)
     assert [cc.homology_dim(1, k) for k in range(1, 14)] == dims[:13]
+
+
+def test_homology_closed_forms_through_degree_13(complex13):
+    """H1^k = d_(k-1) and H2^k = sum_{i=0..k} d_i d_(k-i) - d_k, with d the
+    Wedderburn-Etherington numbers and d_0 = 1, for k = 1..13; the ranks of
+    b2 and b3^wa behind them agree with `rank_mod_p` through degree 10."""
+    cc, d = complex13, dimension_sequence(13)
+    for k in range(1, 14):
+        h2 = sum(d[i] * d[k - i] for i in range(k + 1)) - d[k]
+        assert (cc.homology_dim(1, k), cc.homology_dim(2, k)) == (d[k - 1], h2), k
+    assert cc.homology_dim(2, 13) == 2949
+    for k in range(1, 11):
+        for n, variant in ((2, "plain"), (3, "wa")):
+            dim = cc.chain_dim(n - 1, k)
+            dense = [[col.get(i, 0) for i in range(dim)] for col in cc._columns(n, k, variant)]
+            assert rank_mod_p(dense) == cc._rank(n, k), (n, k)
+
+
+def test_table_and_report_build_each_degree_once(monkeypatch):
+    """`table` builds b1, b2, b2^wa and b3^wa once per degree on one set of
+    chain lists; the composition report after it builds nothing, and
+    agrees with a report on a fresh complex."""
+    built = []
+    chains, columns = ChainComplex._chains, ChainComplex._columns
+    monkeypatch.setattr(ChainComplex, "_chains", lambda cc, n, k: built.append((n, k)) or chains(cc, n, k))
+    monkeypatch.setattr(
+        ChainComplex, "_columns",
+        lambda cc, n, k, variant, shared=None: built.append((n, k, variant)) or columns(cc, n, k, variant, shared),
+    )
+    cc = ChainComplex.up_to_degree(6)
+    cc.table()
+    def degree(k):  # b1 builds C0 and C1, b2 adds C2, b3^wa adds C3
+        return [(1, k, "plain"), (0, k), (1, k), (2, k, "plain"), (2, k), (2, k, "wa"), (3, k, "wa"), (3, k)]
+
+    assert built == [call for k in range(7) for call in degree(k)]
+    built.clear()
+    report = cc.composition_vanishing_report()
+    assert built == []
+    assert report == ChainComplex.up_to_degree(6).composition_vanishing_report()
+
+
+def test_complex_keeps_no_chains_or_columns():
+    """With the complex alive after the frontier homology (H0 and H1 in
+    degrees 9-11), its traced memory is its labels, product table, chain
+    dimensions and ranks: under 1 MB, where keeping every chain list and
+    boundary column took about 1.8 MB."""
+    tracemalloc.start()
+    try:
+        cc = ChainComplex.up_to_degree(11)
+        dims = [(cc.homology_dim(0, k), cc.homology_dim(1, k)) for k in (9, 10, 11)]
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dims == [(46, 23), (98, 46), (207, 98)]
+    assert current < 2**20, current
+    assert cc.chain_dim(2, 11) == 2430
 
 
 def test_h2_computed_values_with_mod_p_ranks():

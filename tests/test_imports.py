@@ -84,8 +84,15 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_chain_complex_loads_only_linalg_and_freewa():
-    doc = run_fresh(f"import json, sys; import wassoc.homology; print(json.dumps({LOADED}))")
-    assert doc == ["wassoc", "wassoc.freewa", "wassoc.homology", "wassoc.linalg"]
+    """...and neither `dataclasses` nor the `inspect` module it imports."""
+    code = f"""
+import json, sys
+import wassoc.homology
+print(json.dumps({{"wassoc": {LOADED}, "stdlib": [m for m in ("dataclasses", "inspect") if m in sys.modules]}}))
+"""
+    doc = run_fresh(code)
+    assert doc["wassoc"] == ["wassoc", "wassoc.freewa", "wassoc.homology", "wassoc.linalg"]
+    assert doc["stdlib"] == []
 
 
 def test_verify_imports_nothing_after_cli():

@@ -1,4 +1,7 @@
+import copy
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -521,3 +524,106 @@ def test_sparse_kernel_rows_are_sparse_in_column_order(rng):
             assert list(v) == sorted(v) and v[max(v)] == 1
             assert all(type(x) is Fraction and x for x in v.values())
             assert all(sum(x * row.get(j, 0) for j, x in v.items()) == 0 for row in rows)
+
+
+def reference_echelon(rows):
+    """The forward elimination `_echelon` replaced: rows taken in the order
+    given, each reduced on its leading column until that column has no pivot
+    yet, with no peeling and no reordering."""
+    pivots = {}
+    for row in rows:
+        row = linalg._primitive(row)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row = linalg._eliminate(row, pivot, lead)
+    return pivots
+
+
+def assert_kernel_matches_reference_echelon(monkeypatch, rows, cols):
+    """`sparse_rref` and `sparse_rank` on `rows` agree with the same routines
+    run on `reference_echelon`; the rows are left as they were, and two runs
+    of `_echelon` return identical pivots in identical order."""
+    integral = [linalg._cleared(row.items()) for row in rows]
+    snapshot = [list(row.items()) for row in rows + integral]
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_echelon", reference_echelon)
+        expected = sparse_rref(rows, cols)
+    assert sparse_rref(rows, cols) == expected
+    assert sparse_rank(integral) == len(expected) == len(reference_echelon(filter(None, integral)))
+    runs = [list(linalg._echelon(filter(None, integral)).items()) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert all(min(row) == lead and gcd(*row.values()) == 1 for lead, row in runs[0])
+    assert [list(row.items()) for row in rows + integral] == snapshot
+
+
+def test_echelon_peels_singletons_in_cascade_then_takes_shortest_rows_first():
+    """Peeling column 2 leaves row 1 a singleton, peeling column 1 leaves
+    row 0 one; each peeled column gets the pivot {j: 1}.  Of the rows left,
+    the two-entry rows are reduced before the three-entry one, and the two
+    that tie on columns 6 and 7 in the order given."""
+    rows = [
+        {0: 3, 1: 5}, {1: -2, 2: 7}, {2: 4}, {0: 6, 3: 9, 4: 1, 5: 1}, {3: 2, 4: 2},
+        {6: 1, 7: 2}, {6: 3, 7: 1},
+    ]
+    snapshot = [dict(row) for row in rows]
+    assert list(linalg._echelon(rows).items()) == [
+        (2, {2: 1}), (1, {1: 1}), (0, {0: 1}),
+        (3, {3: 1, 4: 1}), (6, {6: 1, 7: 2}), (7, {7: -1}), (4, {4: -8, 5: 1}),
+    ]
+    assert rows == snapshot
+
+
+def test_kernel_matches_reference_echelon_on_homology_boundaries(monkeypatch):
+    """b2 in degrees up to 11 and b3^wa in degrees up to 10, as the columns
+    handed to `sparse_rank`."""
+    cc = ChainComplex.up_to_degree(11)
+    for n, variant, top in ((2, "plain", 11), (3, "wa", 10)):
+        for k in range(top + 1):
+            rows = cc._columns(n, k, variant)
+            assert_kernel_matches_reference_echelon(monkeypatch, rows, cc.chain_dim(n - 1, k))
+
+
+def test_kernel_matches_reference_echelon_on_delta3_and_consequences(monkeypatch):
+    systems = rref_inputs(monkeypatch, build_delta3_system)
+    systems += rref_inputs(monkeypatch, lambda: consequences(wa_relation_space()))
+    assert len(systems) >= 4
+    for m in systems:
+        rows = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+        assert_kernel_matches_reference_echelon(monkeypatch, rows, m.cols)
+
+
+def test_kernel_matches_reference_echelon_on_planted_singletons(monkeypatch, rng):
+    """Random integer rows with planted singleton rows, duplicate rows and
+    chains of rows that become singletons only once an earlier singleton's
+    column is peeled off them."""
+    for trial in range(60):
+        cols = rng.randint(2, 12)
+        rows = [
+            {j: rng.randint(-10**3, 10**3) for j in range(cols) if rng.random() < 0.4}
+            for _ in range(rng.randint(0, 8))
+        ]
+        for _ in range(rng.randint(1, 3)):
+            chain = rng.sample(range(cols), rng.randint(1, cols))
+            rows.append({chain[0]: rng.choice([-7, -1, 1, 3])})
+            rows += [{a: rng.randint(-9, 9) or 1, b: rng.randint(-9, 9) or 1} for a, b in zip(chain, chain[1:])]
+        rows += [dict(rows[rng.randrange(len(rows))]) for _ in range(rng.randint(0, 3))]
+        rows.append({})
+        rng.shuffle(rows)
+        assert_kernel_matches_reference_echelon(monkeypatch, rows, cols)
+        dense = [[row.get(j, 0) for j in range(cols)] for row in rows]
+        assert sparse_rank(rows) == reference_rref(Matrix.from_rows(dense))[0], trial
+
+
+def test_matrix_copies_and_pickles_as_a_value():
+    """`Matrix` is frozen and slotted; copy, deepcopy and pickle rebuild it
+    through its constructor and give an equal, still frozen matrix."""
+    m = Matrix.from_rows([[1, Fraction(1, 2)], [0, -3]])
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+        with pytest.raises(AttributeError):
+            twin.rows = 3
+    assert copy.deepcopy({"d": [m]}) == {"d": [m]}
