@@ -3,6 +3,10 @@
 Exit codes, stable for CI use: 0 every claim holds, 1 at least one claim
 fails, 2 usage or input error.
 
+Each value is set in one place: only `verify` draws random numbers, so only
+it takes `--seed` and reads `WASSOC_SEED`, and `operad` prints the values
+of the checks of verify's `operad` section.
+
 `report` is imported at module level, and it imports every module the
 commands use: `verify` would otherwise compile `report` and its imports
 inside its own run.  The commands' function-local imports find their
@@ -53,7 +57,12 @@ def _emit(doc, fmt: str):
 
 
 def cmd_verify(args) -> int:
-    rep = build_report(seed=args.seed, only=args.only)
+    env_seed = os.environ.get("WASSOC_SEED")
+    try:
+        seed = DEFAULT_SEED if env_seed is None else int(env_seed)
+    except ValueError:
+        raise ValueError(f"WASSOC_SEED must be an integer, not {env_seed!r}") from None
+    rep = build_report(seed=seed if args.seed is None else args.seed, only=args.only)
     _emit(rep.as_dict(), args.format)
     return CLAIM_FAILED if rep.failed else 0
 
@@ -154,31 +163,17 @@ def cmd_homology(args) -> int:
 
 
 def cmd_operad(args) -> int:
-    from .operads import (
-        annihilator,
-        associativity_relation_space,
-        consequences,
-        generating_function,
-        koszul_composition_check,
-        r3_syzygies,
-        wa_relation_space,
-        wass_dual_arity4,
-    )
+    from .operads import r3_syzygies
 
-    r = wa_relation_space()
-    rp = annihilator(r)
-    d4 = wass_dual_arity4()
-    op4 = 120 - consequences(r).dim
-    f_op = generating_function([1, 2, r.quotient_dim(), op4], 4)
-    f_dual = generating_function([1, 2, 12 - rp.dim, d4.dim], 4)
+    value = {check.id: check.value for check in build_report(only="operad").checks}
     doc = {
         "checks": [],
-        "relation_dim": r.dim,
-        "operad_dims": {"1": 1, "2": 2, "3": r.quotient_dim(), "4": op4},
-        "dual_dims": {"1": 1, "2": 2, "3": 12 - rp.dim, "4": d4.dim},
-        "dual4_relation_rank": d4.rank,
-        "associative_oracle_dim4": 120 - consequences(associativity_relation_space()).dim,
-        "koszul_residual_order4": [str(q) for q in koszul_composition_check(f_op, f_dual, 4)],
+        "relation_dim": value["operad.relation-dim"],
+        "operad_dims": {"1": 1, "2": 2, "3": value["operad.arity3-dim"], "4": value["operad.arity4-dim"]},
+        "dual_dims": {"1": 1, "2": 2, "3": value["operad.dual3-dim"], "4": value["operad.dual4-kernel"]},
+        "dual4_relation_rank": value["operad.dual4-rank"],
+        "associative_oracle_dim4": value["operad.associative-oracle"],
+        "koszul_residual_order4": value["operad.koszul-residual"],
         "syzygies": r3_syzygies(),
     }
     if args.format == "json":
@@ -210,6 +205,10 @@ def cmd_delta3(args) -> int:
             f"unknowns: {doc['unknowns']}  equations: "
             f"{doc['equations_before_reduction']}  kernel dim: {doc['kernel_dim']}"
         )
+        if args.kernel:  # positions index unknown_labels
+            for i, v in enumerate(sys_.kernel, start=1):
+                entries = ", ".join(f"{j}: {q.numerator}/{q.denominator}" for j, q in sorted(v.items()))
+                print(f"kernel vector {i}: {{{entries}}}")
     return 0
 
 
@@ -265,21 +264,9 @@ def main(argv=None) -> int:
         prog="wassoc",
         description="exact computations with weakly associative algebras",
     )
-    env_seed = os.environ.get("WASSOC_SEED")
-    try:
-        default_seed = DEFAULT_SEED if env_seed is None else int(env_seed)
-    except ValueError:
-        print(f"error: WASSOC_SEED must be an integer, not {env_seed!r}", file=sys.stderr)
-        return USAGE_ERROR
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=default_seed,
-        help="seed for randomized property checks (env WASSOC_SEED)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -287,6 +274,11 @@ def main(argv=None) -> int:
         "verify", parents=[common], help="run the full claim-verification suite"
     )
     p.add_argument("--only", help="restrict to one section (orbit, operad, ...)")
+    p.add_argument(
+        "--seed",
+        type=int,
+        help=f"seed for randomized property checks (default: env WASSOC_SEED, else {DEFAULT_SEED})",
+    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(

@@ -190,7 +190,7 @@ def wa_corpus() -> list[tuple[str, FinAlg]]:
     br_mixed = ring.bracket_algebra((0, 1))
     from .freewa import as_truncated_algebra, build
 
-    free4 = as_truncated_algebra(build(4), 4).algebra
+    free4 = as_truncated_algebra(build(4)).algebra
     members = [
         ("two-dim family a=6", two_dim_family(6)),
         ("two-dim family a=0", two_dim_family(0).scale(4)),
@@ -223,7 +223,7 @@ def poisson_corpus() -> list[tuple[str, FinAlg, FinAlg]]:
     ]
     from .freewa import as_truncated_algebra, build
 
-    free4 = as_truncated_algebra(build(4), 4).algebra
+    free4 = as_truncated_algebra(build(4)).algebra
     pairs.append(("free algebra with zero bracket", free4.scale(1), abelian(free4.dim)))
     for name, bullet, bracket in pairs:
         if not is_nonassociative_poisson(bullet, bracket):

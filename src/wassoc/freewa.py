@@ -10,6 +10,10 @@ pairs {u, v} of lower-degree labels.  Degree counts satisfy
 
 the unordered-binary-tree (Wedderburn-Etherington) numbers.
 
+A degree bound is given once, to `build`: `multiply` is the product of the
+free algebra, which has no bound, and `as_truncated_algebra` truncates at
+the bound of the basis it is given.
+
 `finalg` and `identities` are imported inside the two functions that use
 them, so the chain complex (`homology`) loads only `linalg` and this module."""
 
@@ -64,10 +68,6 @@ class Label:
 
 UNIT = Label("unit")
 GEN = Label("gen")
-
-
-class DegreeOverflowError(ValueError):
-    """Raised when a product would exceed the built degree bound."""
 
 
 class GradedBasis:
@@ -139,16 +139,12 @@ def build(max_degree: int) -> GradedBasis:
     return basis
 
 
-def multiply(u: Label, v: Label, max_degree: int | None = None) -> Label:
+def multiply(u: Label, v: Label) -> Label:
     """Canonical unordered product; the unit is a genuine two-sided unit."""
     if u.kind == "unit":
         return v
     if v.kind == "unit":
         return u
-    if max_degree is not None and u.degree + v.degree > max_degree:
-        raise DegreeOverflowError(
-            f"product degree {u.degree + v.degree} exceeds bound {max_degree}"
-        )
     return Label("pair", (u, v))
 
 
@@ -169,14 +165,13 @@ class FreeTruncation:
         self.max_degree = max_degree
 
 
-def as_truncated_algebra(basis: GradedBasis, max_degree: int | None = None) -> FreeTruncation:
+def as_truncated_algebra(basis: GradedBasis) -> FreeTruncation:
+    """The basis's labels as a `FinAlg`, truncated at the basis's own
+    degree bound."""
     from .finalg import FinAlg
 
-    if max_degree is None:
-        max_degree = basis.max_degree
-    if max_degree > basis.max_degree:
-        raise ValueError("cannot truncate above the built degree")
-    labels = [l for level in basis.elements[: max_degree + 1] for l in level]
+    max_degree = basis.max_degree
+    labels = basis.all_labels()
     index = {l: i for i, l in enumerate(labels)}
     products = {
         (i, j): {index[multiply(u, v)]: 1}

@@ -20,12 +20,15 @@ at a time from the labels grouped by degree.  A boundary is filled one term
 of its formula at a time over the whole source basis, the wa variants being
 signed sums of b_n on reordered chains, as sparse integer columns
 `{target chain index: coefficient}`; ranks are taken on those columns with
-`linalg.sparse_rank`.  Chain lists and columns are built for the one
-homology dimension, degree of `table` and `composition_vanishing_report`
-(one pass per degree, shared by both) or dense `boundary` call that needs
-them and then dropped: a complex keeps only its labels grouped by degree,
-the product table, the chain dimensions, the ranks and the composition
-checks.
+`linalg.sparse_rank`.  The degree bound is given once, to
+`up_to_degree`; `table` and `composition_vanishing_report` cover every
+degree up to it.  One pass per degree, shared by the two, builds b1, b2,
+b2^wa and b3^wa once, checks the compositions and records the ranks of b1,
+b2 and b3^wa, which homology dimensions taken after it read.  Chain lists
+and columns are built for the one pass, homology dimension or dense
+`boundary` call that needs them and then dropped: a complex keeps only its
+labels grouped by degree, the product table, the chain dimensions, the
+ranks and the composition checks.
 
 The module imports only `freewa` and `linalg` at module level;
 `b1b2_symbolic_identity` imports `identities` and `symgroup` when called,
@@ -205,11 +208,12 @@ class ChainComplex:
         image = self._rank(n + 1, k, chains)
         return self.chain_dim(n, k) - (self._rank(n, k, chains) if n else 0) - image
 
-    def _degree(self, k: int, ranks: bool = False) -> tuple[bool, bool, bool]:
+    def _degree(self, k: int) -> tuple[bool, bool, bool]:
         """The checks b1 b2 = 0, b2 b3^wa = 0 and b2 = b2^wa in degree k,
-        kept.  b1, b2, b2^wa and b3^wa are built once each, and with `ranks`
-        the ranks of b1, b2 and b3^wa are taken from the same columns, so
-        `table` and `composition_vanishing_report` build a degree once."""
+        kept.  b1, b2, b2^wa and b3^wa are built once each, and the ranks of
+        b1, b2 and b3^wa are taken from the same columns, so `table`,
+        `composition_vanishing_report` and the homology dimensions after
+        them build a degree once."""
 
         def compute():
             chains: dict = {}
@@ -217,19 +221,18 @@ class ChainComplex:
             b2 = self._columns(2, k, "plain", chains)
             checks = (_composite_is_zero(b1, b2), b2 == self._columns(2, k, "wa", chains))
             b3 = self._columns(3, k, "wa", chains)
-            if ranks:
-                for n, cols in ((1, b1), (2, b2), (3, b3)):
-                    if ("rank", n, k) not in self._cache:
-                        self._cache["rank", n, k] = sparse_rank(cols)
+            for n, cols in ((1, b1), (2, b2), (3, b3)):
+                if ("rank", n, k) not in self._cache:
+                    self._cache["rank", n, k] = sparse_rank(cols)
             return checks[0], _composite_is_zero(b2, b3), checks[1]
 
         return self._cached(("checks", k), compute)
 
-    def table(self, max_degree: int | None = None) -> list[dict]:
-        """Rows {n, k, dimC, rank, dimH} for n = 0..2, k = 0..bound."""
-        bound = self.max_degree if max_degree is None else max_degree
-        for k in range(bound + 1):
-            self._degree(k, ranks=True)
+    def table(self) -> list[dict]:
+        """Rows {n, k, dimC, rank, dimH} for n = 0..2, k = 0..max_degree."""
+        degrees = range(self.max_degree + 1)
+        for k in degrees:
+            self._degree(k)
         return [
             {
                 "n": n,
@@ -239,16 +242,15 @@ class ChainComplex:
                 "dimH": self.homology_dim(n, k),
             }
             for n in range(0, 3)
-            for k in range(0, bound + 1)
+            for k in degrees
         ]
 
-    def composition_vanishing_report(self, max_degree: int | None = None) -> dict:
+    def composition_vanishing_report(self) -> dict:
         """Checks on the sparse columns: b1 b2 = 0 and b2 b3^wa = 0 in every
-        degree up to the bound, plus agreement of b2 with its wa variant (the
-        algebra is commutative, so the two boundaries coincide).  A degree
-        already checked by `table` is not built again."""
-        bound = self.max_degree if max_degree is None else max_degree
-        checks = [self._degree(k) for k in range(bound + 1)]
+        degree up to `max_degree`, plus agreement of b2 with its wa variant
+        (the algebra is commutative, so the two boundaries coincide).  A
+        degree is built once, by the first of this report and `table`."""
+        checks = [self._degree(k) for k in range(self.max_degree + 1)]
         return {
             "b1b2_zero": all(c[0] for c in checks),
             "b2b3wa_zero": all(c[1] for c in checks),

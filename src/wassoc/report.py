@@ -327,6 +327,9 @@ def _freewa_checks(rep: Report):
 
 def _homology_checks(rep: Report):
     cc = ChainComplex.up_to_degree(6)
+    # One pass per degree builds every boundary once and records the ranks
+    # the homology dimensions below read.
+    comp = cc.composition_vanishing_report()
     dims = dimension_sequence(6)
     h0 = [cc.homology_dim(0, k) for k in range(7)]
     rep.add(
@@ -370,7 +373,6 @@ def _homology_checks(rep: Report):
         closed and c1[1] == 2,
         c1,
     )
-    comp = cc.composition_vanishing_report()
     rep.add(
         "homology.compositions",
         "b1 b2 = 0 and b2 b3(wa) = 0 as matrices in every degree through 6",

@@ -147,6 +147,27 @@ def test_delta3_command(capsys):
     assert len(doc["unknown_labels"]) == 120
 
 
+def test_delta3_kernel_text_reads_back_as_json_kernel(capsys):
+    """`delta3 --kernel` prints one line per kernel vector, its nonzero
+    entries as `position: p/q` with positions indexing `unknown_labels`."""
+    assert main(["delta3", "--kernel", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["delta3", "--kernel"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "unknowns: 120  equations: 360  kernel dim: 48"
+    kernel = []
+    for i, line in enumerate(lines, start=1):
+        head, body = line.split(": ", 1)
+        assert head == f"kernel vector {i}" and body.startswith("{") and body.endswith("}")
+        row = [Fraction(0)] * len(doc["unknown_labels"])
+        for entry in body[1:-1].split(", "):
+            position, q = entry.split(": ")
+            assert "/" in q and Fraction(q) != 0
+            row[int(position)] = Fraction(q)
+        kernel.append(row)
+    assert kernel == [[Fraction(x) for x in v] for v in doc["kernel"]]
+
+
 def test_deform_command(tmp_path, capsys):
     ring = plane_quotient()
     d = linear_deformation(ring.algebra(), ring.poisson_bracket((1, 0)), order=3)
@@ -371,6 +392,31 @@ def test_malformed_seed_environment_exits_2(monkeypatch, capsys):
         _assert_usage_error(argv, capsys)
     monkeypatch.setenv("WASSOC_SEED", "3")
     assert main(["verify", "--only", "orbit"]) == 0
+
+
+def test_seed_belongs_to_verify(tmp_path, a6_file, monkeypatch, capsys):
+    """Only `verify` draws random numbers: a malformed WASSOC_SEED changes
+    no other command's output or exit code, and no other command takes
+    --seed."""
+    deformation = tmp_path / "deform.json"
+    deformation.write_text(json.dumps({"base": GOOD_ALGEBRA, "terms": [GOOD_TERM]}))
+    commands = [
+        ["check", "--algebra", a6_file, "--property", "associative"],
+        ["freewa", "--max-degree", "4"],
+        ["homology", "--max-degree", "3"],
+        ["operad"],
+        ["delta3"],
+        ["deform", "--file", str(deformation)],
+    ]
+    for argv in commands:
+        monkeypatch.delenv("WASSOC_SEED", raising=False)
+        plain = main(argv), capsys.readouterr()
+        monkeypatch.setenv("WASSOC_SEED", "abc")
+        assert (main(argv), capsys.readouterr()) == plain, argv
+    for argv in (["homology", "--seed", "1"], commands[0] + ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 # One product entry in dimension 100000: the algebra is A (dim 2) plus

@@ -1,10 +1,7 @@
-import pytest
-
 from wassoc.finalg import is_commutative, is_weakly_associative
 from wassoc.freewa import (
     GEN,
     UNIT,
-    DegreeOverflowError,
     as_truncated_algebra,
     build,
     dimension_sequence,
@@ -83,13 +80,6 @@ def test_multiply_is_commutative_and_degree_additive(rng):
         p = multiply(u, v)
         assert p == multiply(v, u)
         assert p.degree == u.degree + v.degree
-
-
-def test_degree_overflow_reported():
-    basis = build(3)
-    x3 = basis.elements[3][0]
-    with pytest.raises(DegreeOverflowError):
-        multiply(x3, GEN, max_degree=3)
 
 
 def test_truncated_algebra_properties():

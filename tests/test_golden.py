@@ -120,7 +120,7 @@ def algebra_document() -> str:
         ],
         "non_wa_corpus": [[name, algebra_to_json(alg)] for name, alg in non_wa_corpus()],
         "truncated_polynomials_4": algebra_to_json(truncated_polynomials(4)),
-        "free_truncation_4": algebra_to_json(as_truncated_algebra(build(4), 4).algebra),
+        "free_truncation_4": algebra_to_json(as_truncated_algebra(build(4)).algebra),
         "polarize": [algebra_to_json(bullet), algebra_to_json(bracket)],
         "depolarize": algebra_to_json(depolarize(bullet, bracket)),
     }

@@ -324,6 +324,25 @@ def test_table_and_report_build_each_degree_once(monkeypatch):
     assert report == ChainComplex.up_to_degree(6).composition_vanishing_report()
 
 
+def test_report_homology_section_builds_each_boundary_once(monkeypatch):
+    """verify's homology section runs the composition pass first, so its
+    homology dimensions read recorded ranks: b1, b2, b2^wa and b3^wa once
+    in each degree 0..6, 28 builds with none repeated."""
+    from wassoc import report
+
+    built = []
+    columns = ChainComplex._columns
+    monkeypatch.setattr(
+        ChainComplex, "_columns",
+        lambda cc, n, k, variant, shared=None: built.append((n, k, variant)) or columns(cc, n, k, variant, shared),
+    )
+    rep = report.Report()
+    report._homology_checks(rep)
+    boundaries = ((1, "plain"), (2, "plain"), (2, "wa"), (3, "wa"))
+    assert sorted(built) == sorted((n, k, v) for k in range(7) for n, v in boundaries)
+    assert [c.id for c in rep.failed] == ["homology.h1-degree6"]
+
+
 def test_complex_keeps_no_chains_or_columns():
     """With the complex alive after the frontier homology (H0 and H1 in
     degrees 9-11), its traced memory is its labels, product table, chain
@@ -371,7 +390,7 @@ def test_sparse_composite_matches_dense_product(chain_complex6):
 
 
 def test_compositions_vanish_through_degree_10():
-    rep = ChainComplex.up_to_degree(10).composition_vanishing_report(10)
+    rep = ChainComplex.up_to_degree(10).composition_vanishing_report()
     assert rep["b1b2_zero"] and rep["b2b3wa_zero"] and rep["b2_equals_b2wa"]
     assert all(all(row.values()) for row in rep["per_degree"].values())
     assert sorted(rep["per_degree"]) == list(range(11))
