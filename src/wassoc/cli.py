@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes, stable for CI use: 0 every claim holds, 1 at least one claim
-fails, 2 usage or input error.
+fails, 2 usage or input error.  A command's output is printed when it
+returns, so a reader that closes the pipe early changes what is printed and
+nothing else: no traceback, and the command's own exit code.
 
 Each value is set in one place: only `verify` draws random numbers, so only
 it takes `--seed` and reads `WASSOC_SEED`, and `operad` prints the values
@@ -16,6 +18,8 @@ modules already loaded.
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import os
 import sys
@@ -213,7 +217,7 @@ def cmd_delta3(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    from .deform import deformation_from_json, first_failing_order, quantization
+    from .deform import _quantization, deformation_from_json, first_failing_order
     from .finalg import is_weakly_associative
 
     try:
@@ -235,10 +239,11 @@ def cmd_deform(args) -> int:
     doc = {"order": deformation.order, "base_dim": deformation.base.dim}
     base = deformation.base
     base_ok = is_weakly_associative(base)
-    # quantization finds the first failing order itself; it is not recomputed
+    # The base is checked here once, and the quantization finds the first
+    # failing order itself; neither is computed twice.
     q = None
     if base_ok and is_commutative(base) and deformation.order >= 2:
-        q = quantization(deformation)
+        q = _quantization(deformation)
     failing = q.first_failing_order if q is not None else first_failing_order(deformation)
     ok = base_ok and failing is None
     doc["weakly_associative"] = ok
@@ -259,7 +264,9 @@ def cmd_deform(args) -> int:
     return 0 if ok else CLAIM_FAILED
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="wassoc",
         description="exact computations with weakly associative algebras",
@@ -279,45 +286,52 @@ def main(argv=None) -> int:
         type=int,
         help=f"seed for randomized property checks (default: env WASSOC_SEED, else {DEFAULT_SEED})",
     )
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(
         "check", parents=[common], help="check a property of an algebra file"
     )
     p.add_argument("--algebra", required=True, help="algebra JSON file")
     p.add_argument("--property", required=True, choices=sorted(PROPERTIES))
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(
         "freewa", parents=[common], help="free one-generator algebra tables"
     )
     p.add_argument("--max-degree", type=int, default=5)
-    p.set_defaults(fn=cmd_freewa)
 
     p = sub.add_parser("homology", parents=[common], help="graded homology table")
     p.add_argument("--max-degree", type=int, default=6)
-    p.set_defaults(fn=cmd_homology)
 
-    p = sub.add_parser("operad", parents=[common], help="operad dimension report")
-    p.set_defaults(fn=cmd_operad)
+    sub.add_parser("operad", parents=[common], help="operad dimension report")
 
     p = sub.add_parser(
         "delta3", parents=[common], help="degree-3 coboundary ansatz system"
     )
     p.add_argument("--kernel", action="store_true", help="include kernel vectors")
-    p.set_defaults(fn=cmd_delta3)
 
     p = sub.add_parser("deform", parents=[common], help="check a deformation file")
     p.add_argument("--file", required=True, help="deformation JSON file")
     p.add_argument("--order", type=int, default=None)
-    p.set_defaults(fn=cmd_deform)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    out, sys.stdout = sys.stdout, io.StringIO()
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        text, sys.stdout = sys.stdout.getvalue(), out
+        try:
+            out.write(text)
+            out.flush()
+        except BrokenPipeError:
+            # The reader is gone: what is left, and the interpreter's final
+            # flush, go to the null device.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 if __name__ == "__main__":

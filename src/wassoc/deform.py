@@ -124,8 +124,15 @@ def quantization(deformation: TruncatedDeformation) -> QuantizationReport:
         raise ValueError("quantization extraction needs a commutative base")
     if not is_weakly_associative(base):
         raise ValueError("base must be weakly associative")
+    return _quantization(deformation)
+
+
+def _quantization(deformation: TruncatedDeformation) -> QuantizationReport:
+    """`quantization` of a deformation whose base is already known to be
+    commutative and weakly associative."""
     if deformation.order < 2:
         raise ValueError("need a deformation truncated at order >= 2")
+    base = deformation.base
     failing = first_failing_order(deformation)
     psi = deformation.terms[0].skew_part()
     bracket_alg = FinAlg.from_map(psi)
@@ -200,10 +207,12 @@ def identity_gauge(dim: int, order: int = 3) -> GaugeTransform:
 
 def gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> TruncatedDeformation:
     """mu'_t = f_t . mu_t . (f_t^-1 x f_t^-1), truncated at the deformation
-    order.  With g_c the terms of f_t^-1 (g_0 = Id), the t^m part of
-    mu_t(f_t^-1 x, f_t^-1 y) is T_m = sum_{b+c+d=m} phi_b(g_c x, g_d y),
-    built one input slot at a time; then phi'_k = sum_{a+m=k} h_a(T_m)
-    (h_0 = Id)."""
+    order.  The t^e part of f_t . mu_t is H_e = sum_{a+b=e} h_a(phi_b)
+    (h_0 = Id); with g_c the terms of f_t^-1 (g_0 = Id), phi'_k is
+    sum_{e+c+d=k} H_e(g_c x, g_d y), built one input slot at a time.  The
+    endomorphisms h_a act first, on the deformation terms as given, which
+    are often sparse; the compositions with g_c, which fill the maps in,
+    come last."""
     n = deformation.base.dim
     order = deformation.order
     if g.order != order:
@@ -216,9 +225,9 @@ def gauge(deformation: TruncatedDeformation, g: GaugeTransform) -> TruncatedDefo
         """out_m = the sum over c = 0..m of the compositions term(m - c, c)."""
         return [contract(2, n, (term(m - c, c) for c in range(m + 1))) for m in range(order + 1)]
 
-    first = series(lambda j, c: (1, phi[j], 0, ginv[c]))
-    both = series(lambda j, c: (1, first[j], 1, ginv[c]))
-    new = series(lambda j, c: (1, h[c], 0, both[j]))
+    h_phi = series(lambda j, c: (1, h[c], 0, phi[j]))
+    first = series(lambda j, c: (1, h_phi[j], 0, ginv[c]))
+    new = series(lambda j, c: (1, first[j], 1, ginv[c]))
     return TruncatedDeformation(deformation.base, new[1:])
 
 

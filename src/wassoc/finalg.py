@@ -17,11 +17,13 @@ on identities, so `evaluate` commutes with it) and the coboundary and
 deformation code of the `cohomology` and `deform` modules are built from
 it.  `linear_combination` gives the sum, difference and multiples of maps.
 
-`contract` adds whole rows as packed integers (Kronecker substitution): one
-slot width per call, from a bound on the output coefficients cleared of
-denominators, so adding a scaled row is one big-integer multiply-add.  The
-input permutations and v act on the packed sums, and each output row is
-decoded once, at the end.
+`contract` adds packed integers (Kronecker substitution): one digit width
+per call, from a bound on the output coefficients cleared of denominators,
+and each output coordinate at the digit of its rank among those in use.
+The terms of one layout share one product, in which an inner entry is one
+multiply-add for all outer rows at its coordinate (a superrow).  The input
+permutations and v act on the packed sums, and each output row is decoded
+once, at the end.
 
 Inputs are validated once, by the public `MultiMap` constructor, which is
 also the only check of the `FinAlg` constructor.  The results of `contract`,
@@ -135,7 +137,7 @@ class MultiMap:
     maps skip it (`_trusted`) and may share rows, so `coeffs` and its rows are
     read-only."""
 
-    __slots__ = ("arity", "dim", "coeffs")
+    __slots__ = ("arity", "dim", "coeffs", "_stats")
 
     def __init__(self, arity: int, dim: int, values: dict):
         """`values` maps input basis tuples (0-based) to output vectors of
@@ -166,6 +168,7 @@ class MultiMap:
                 coeffs[idx] = row
         _check_indices(itertools.chain.from_iterable(sparse_rows), dim, "output coordinate")
         self.coeffs = coeffs
+        self._stats = None
 
     @staticmethod
     def zero(arity: int, dim: int) -> "MultiMap":
@@ -267,6 +270,7 @@ def _trusted(arity: int, dim: int, coeffs: dict) -> MultiMap:
     m.arity = arity
     m.dim = dim
     m.coeffs = coeffs
+    m._stats = None
     return m
 
 
@@ -295,18 +299,59 @@ def linear_combination(arity: int, dim: int, terms) -> MultiMap:
     return _trusted(arity, dim, coeffs)
 
 
+_CHUNK = 32  # positions per superrow of `contract`
+
+
 def _scan(m: MultiMap) -> tuple:
     """(D, T, w) of a nonzero map: D the lcm of its denominators, T the
-    largest |D x| over its coefficients x and w its widest row."""
-    rows = m.coeffs.values()
-    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
-    den = math.lcm(*set(map(operator.attrgetter("denominator"), values)))
-    return den, int(max(map(abs, values)) * den), max(map(len, rows))
+    largest |D x| over its coefficients x and w its widest row; kept on the
+    map, which is immutable."""
+    if m._stats is None:
+        rows = m.coeffs.values()
+        values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+        den = math.lcm(*set(map(operator.attrgetter("denominator"), values)))
+        m._stats = den, int(max(map(abs, values)) * den), max(map(len, rows))
+    return m._stats
 
 
-def _unpack(v: int, width: int, den: int) -> dict:
-    """The row {k: d_k / den} of v = sum d_k 2^(k width), each digit
-    balanced (|d_k| < 2^(width - 1)); zero slots are jumped over through
+def _pack(m: MultiMap, offset: dict) -> dict:
+    """{idx: sum_k D x_k 2^offset[k]} over the rows of m, with D the lcm of
+    its denominators."""
+    den = _scan(m)[0]
+    packed = {}
+    for idx, row in m.coeffs.items():
+        x = 0
+        for k, c in row.items():
+            if den != 1:
+                c = c.numerator * (den // c.denominator)
+            x += c << offset[k]
+        packed[idx] = x
+    return packed
+
+
+def _superrows(rows: list, block_width: dict) -> list:
+    """[(chunk, superrow, shift, its rows)] of the (position, packed row)
+    pairs `rows`: sum x 2^((pos - lo) w) over the rows of a chunk, from its
+    lowest position lo, w the chunk's block width; 2^shift puts it in place
+    in the chunk."""
+    if len(block_width) == 1:
+        chunks = {0: rows}
+    else:
+        chunks = {}
+        for pos, x in rows:
+            chunks.setdefault(pos // _CHUNK, []).append((pos, x))
+    out = []
+    for chunk, group in chunks.items():
+        w = block_width[chunk]
+        lo = min(group)[0]
+        x = group[0][1] if len(group) == 1 else sum(x << ((pos - lo) * w) for pos, x in group)
+        out.append((chunk, x, (lo - chunk * _CHUNK) * w, group))
+    return out
+
+
+def _unpack(v: int, width: int, den: int, coords) -> dict:
+    """The row {coords[k]: d_k / den} of v = sum d_k 2^(k width), each digit
+    balanced (|d_k| < 2^(width - 1)); zero digits are jumped over through
     the lowest set bit."""
     mask = (1 << width) - 1
     half = 1 << (width - 1)
@@ -323,7 +368,7 @@ def _unpack(v: int, width: int, den: int) -> dict:
         if d >= half:
             d -= mask + 1
             v += 1
-        row[k] = d if den == 1 else d // den if d % den == 0 else Fraction(d, den)
+        row[coords[k]] = d if den == 1 else d // den if d % den == 0 else Fraction(d, den)
         k += 1
     return row
 
@@ -351,29 +396,32 @@ def contract(arity: int, dim: int, terms, v: GroupAlgebraElement | None = None) 
     `MultiMap.apply_group_vector(v)`.
 
     Rows are added packed (Kronecker substitution).  With D the lcm of a
-    map's denominators and L the common denominator of the term scalars
-    q / (D_outer D_inner), each scalar becomes the integer
-    s = q L / (D_outer D_inner), and L times a coefficient of the sum is an
-    integer of absolute value at most B = sum over terms of
-    |s| max|D_outer x| max|D_inner x| (widest inner row).  Written as
-    (1 / D_v) sum c_p p with integers c_p, v multiplies B by V = sum |c_p|
-    and L by D_v.  In slots of width W = (B V).bit_length() + 1 each output
-    coefficient is a balanced digit, so an outer row packs, once per
-    (outer, slot), into sum_k D_outer x_k 2^(k W), and a scaled row adds with
-    one big-integer multiply-add.  Outer rows are grouped by their coordinate
-    in `slot`, and each distinct (pre, post) of their other inputs has a
-    small int position.  Once per (outer, slot, inner), an inner row sums its
-    packed rows in a list indexed by position and reads back only the
-    positions it touched; each sum, times the s of each term, goes to the
-    accumulator entry of its output key pre + inner input + post, permuted.
-    v is applied to the packed accumulator, and only then is each output row
-    decoded, once, so a sum that vanishes is never decoded.  Each q must be
-    an int or a Fraction; the operands are trusted (validated when built),
-    and so is the result."""
+    map's denominators and L the common denominator of the scalars
+    q / (D_outer D_inner), each, summed per (outer, slot, inner, images),
+    becomes an integer s, and L times a coefficient of the sum is at most
+    B = sum |s| max|D_outer x| max|D_inner x| (widest inner row) in
+    absolute value; v, written (1 / D_v) sum c_p p, multiplies B by
+    sum |c_p| (1 if v = 0).  Each coefficient is then a balanced digit of
+    W = B.bit_length() + 1 bits, and an outer row, packed once per call,
+    puts coordinate k at the digit of its rank among the coordinates the
+    outer maps use.
+
+    The terms of one layout (slot, outer arity and list of (s, images))
+    share one packed product.  Each (pre, post) of outer inputs around the
+    slot is a position; positions go in chunks of 32, each with blocks as
+    wide as its widest row.  For each inner map and coordinate a, the outer
+    rows at a in one chunk form a superrow, one block per position, from
+    its lowest occupied block, so an inner entry (jdx, a, c) is one
+    multiply-add per superrow.  The sum for jdx over the layout's inner
+    maps is read back once: each nonzero block, times each s, goes to the
+    accumulator entry of its key pre + jdx + post, permuted.  v acts on the
+    packed accumulator, and then each output row is decoded once, so a sum
+    that vanishes is never decoded.  Each q must be an int or a Fraction;
+    the operands are trusted (validated when built), and so is the result."""
     if v is not None and v.n != arity:
         raise ValueError(f"degree-{v.n} group-algebra element on an arity-{arity} map")
     groups: dict = {}
-    stats: dict = {}
+    getters: dict = {None: None}
     for q, outer, slot, inner, *images in terms:
         if outer.dim != dim or inner.dim != dim:
             raise ValueError("dimension mismatch")
@@ -381,64 +429,89 @@ def contract(arity: int, dim: int, terms, v: GroupAlgebraElement | None = None) 
             raise ValueError("shape mismatch")
         if not 0 <= slot < outer.arity:
             raise ValueError(f"slot {slot} outside 0..{outer.arity - 1}")
-        getter = _slot_getter(arity, *images) if images else None
+        perm = tuple(*images) or None
+        if perm not in getters:
+            getters[perm] = _slot_getter(arity, perm)
         q = _exact(q)
         if q and outer.coeffs and inner.coeffs:
-            for m in (outer, inner):
-                if id(m) not in stats:
-                    stats[id(m)] = _scan(m)
-            d_outer, top_outer, _ = stats[id(outer)]
-            d_inner, top_inner, wide = stats[id(inner)]
-            f = q if d_outer == d_inner == 1 else Fraction(q, d_outer * d_inner)
-            group = groups.setdefault((id(outer), slot, id(inner)), (outer, slot, inner, []))
-            group[3].append((f, getter, top_outer * top_inner * wide))
-    live = [t for *_, ts in groups.values() for t in ts]
-    den = math.lcm(*(f.denominator for f, _, _ in live))
-    bound = sum(abs(f.numerator) * (den // f.denominator) * reach for f, _, reach in live)
+            d_outer, top_outer, _ = _scan(outer)
+            d_inner, top_inner, wide = _scan(inner)
+            reach = top_outer * top_inner * wide
+            fs = groups.setdefault((id(outer), slot, id(inner)), (outer, slot, inner, reach, {}))[4]
+            perm = perm if getters[perm] else None  # identity images are no permutation
+            fs[perm] = fs.get(perm, 0) + (q if d_outer == d_inner == 1 else Fraction(q, d_outer * d_inner))
+    live = [(f, reach) for *_, reach, fs in groups.values() for f in fs.values() if f]
+    den = math.lcm(*(f.denominator for f, _ in live))
+    bound = sum(abs(f.numerator) * (den // f.denominator) * reach for f, reach in live)
     d_v = 1
     if v is not None:
         d_v = math.lcm(*(q.denominator for q in v.coeffs.values()))
         v_terms = [(_slot_getter(arity, p.images), int(q * d_v)) for p, q in v.coeffs.items()]
-        bound *= sum(abs(c) for _, c in v_terms)
+        bound *= max(1, sum(abs(c) for _, c in v_terms))
     width = bound.bit_length() + 1
-    packed_groups: dict = {}
+    layouts: dict = {}
+    for outer, slot, inner, _, fs in groups.values():
+        scalars = tuple((f.numerator * (den // f.denominator), perm) for perm, f in fs.items() if f)
+        if scalars:
+            inners = layouts.setdefault((slot, outer.arity, scalars), {})
+            inners.setdefault(id(inner), (inner, []))[1].append(outer)
+    outers = {id(o): o for inners in layouts.values() for _, os in inners.values() for o in os}
+    coords = sorted(set().union(*(row for o in outers.values() for row in o.coeffs.values())))
+    offset = {k: r * width for r, k in enumerate(coords)}
+    packed: dict = {}
     acc: dict = {}
-    for outer, slot, inner, ts in groups.values():
-        group = packed_groups.get((id(outer), slot))
-        if group is None:
-            d_outer = stats[id(outer)][0]
-            by_coord: dict = {}
-            positions: dict = {}
-            for idx, row in outer.coeffs.items():
-                packed = 0
-                for k, x in row.items():
-                    if d_outer != 1:
-                        x = x.numerator * (d_outer // x.denominator)
-                    packed += x << (k * width)
-                pos = positions.setdefault((idx[:slot], idx[slot + 1 :]), len(positions))
-                by_coord.setdefault(idx[slot], []).append((pos, packed))
-            group = packed_groups[(id(outer), slot)] = (by_coord, list(positions))
-        by_coord, pre_posts = group
-        d_inner = stats[id(inner)][0]
-        scaled = [(f.numerator * (den // f.denominator), getter) for f, getter, _ in ts]
-        local = [0] * len(pre_posts)
-        for jdx, inner_row in inner.coeffs.items():
-            touched = []
-            for a, c in inner_row.items():
-                if d_inner != 1:
-                    c = c.numerator * (d_inner // c.denominator)
-                for pos, packed in by_coord.get(a, ()):
-                    x = local[pos]
-                    if not x:
-                        touched.append(pos)
-                    local[pos] = x + c * packed
-            for pos in touched:
-                x = local[pos]
-                if x:
-                    local[pos] = 0
+    for (slot, _, scalars), inners in layouts.items():
+        scaled = [(s, getters[perm]) for s, perm in scalars]
+        positions: dict = {}
+        bits: dict = {}
+        superrows = []
+        for inner, outers in inners.values():
+            by_a: dict = {}
+            for outer in outers:
+                if id(outer) not in packed:
+                    packed[id(outer)] = _pack(outer, offset)
+                for idx, x in packed[id(outer)].items():
+                    pos = positions.setdefault((idx[:slot], idx[slot + 1 :]), len(positions))
+                    by_a.setdefault(idx[slot], []).append((pos, x))
+                    chunk = pos // _CHUNK
+                    if x.bit_length() > bits.get(chunk, 0):
+                        bits[chunk] = x.bit_length()
+            superrows.append((inner.coeffs, _scan(inner)[0], by_a))
+        block_width = {chunk: (b // width + 1) * width for chunk, b in bits.items()}
+        for _, _, by_a in superrows:
+            for a, rows in by_a.items():
+                by_a[a] = _superrows(rows, block_width)
+        pre_posts = list(positions)
+        for jdx in dict.fromkeys(itertools.chain.from_iterable(c for c, _, _ in superrows)):
+            # chunk -> [c, superrow, shift, its rows] while one term is in
+            # it, then [1, sum, shift, None].
+            sums: dict = {}
+            for coeffs, d_inner, by_a in superrows:
+                for a, c in coeffs.get(jdx, {}).items():
+                    if d_inner != 1:
+                        c = c.numerator * (d_inner // c.denominator)
+                    for chunk, x, shift, rows in by_a.get(a, ()):
+                        t = sums.get(chunk)
+                        if t is None:
+                            sums[chunk] = [c, x, shift, rows]
+                            continue
+                        if t[3] is not None:
+                            t[:] = 1, t[0] * t[1], t[2], None
+                        if shift == t[2]:
+                            t[1] += c * x
+                        else:  # align the two at the lower shift
+                            lo = min(shift, t[2])
+                            t[1:3] = (t[1] << (t[2] - lo)) + ((c * x) << (shift - lo)), lo
+            for chunk, (c, total, shift, rows) in sums.items():
+                if rows is None:
+                    w = block_width[chunk]
+                    base = chunk * _CHUNK + shift // w
+                    rows = _unpack(total, w, 1, range(base, base + _CHUNK)).items()
+                terms = scaled if c == 1 else [(s * c, getter) for s, getter in scaled]
+                for pos, x in rows:
                     pre, post = pre_posts[pos]
                     out = pre + jdx + post
-                    for s, getter in scaled:
+                    for s, getter in terms:
                         key = out if getter is None else getter(out)
                         acc[key] = acc.get(key, 0) + s * x
     if v is not None:
@@ -448,7 +521,8 @@ def contract(arity: int, dim: int, terms, v: GroupAlgebraElement | None = None) 
             for out, x in nonzero:
                 key = out if getter is None else getter(out)
                 acc[key] = acc.get(key, 0) + c * x
-    coeffs = {key: _unpack(x, width, den * d_v) for key, x in acc.items() if x}
+    den *= d_v
+    coeffs = {key: _unpack(x, width, den, coords) for key, x in acc.items() if x}
     return _trusted(arity, dim, coeffs)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from wassoc import cli, finalg
 from wassoc.cli import PROPERTIES, main
 from wassoc.corpus import two_dim_family
 from wassoc import deform
@@ -200,6 +205,71 @@ def test_deform_computes_each_order_once(tmp_path, capsys, monkeypatch):
         "weakly_associative": True,
         "quantization": {"jacobi": True, "leibniz": True, "poisson": True, "failure": None},
     }
+
+
+def test_deform_checks_the_base_once(tmp_path, capsys, monkeypatch):
+    ring = plane_quotient()
+    d = linear_deformation(ring.algebra(), ring.poisson_bracket((1, 0)), order=3)
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps(deformation_to_json(d)))
+    calls = []
+
+    def counting(alg):
+        calls.append(alg.dim)
+        return is_weakly_associative(alg)
+
+    is_weakly_associative = finalg.is_weakly_associative
+    monkeypatch.setattr(finalg, "is_weakly_associative", counting)
+    monkeypatch.setattr(deform, "is_weakly_associative", counting)
+    assert main(["deform", "--file", str(path), "--format", "json"]) == 0
+    assert calls == [ring.algebra().dim]
+    assert json.loads(capsys.readouterr().out)["quantization"]["poisson"] is True
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(argv, **kwargs):
+    """`python -m wassoc` with `argv` in a new interpreter."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "wassoc", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), text=True, **kwargs,
+    )
+
+
+def test_main_builds_its_parser_once_and_dispatches_by_name(a6_file, capsys, monkeypatch):
+    """Two subcommands in one process print what two fresh processes print;
+    the parser is built once, and a replaced command is the one called."""
+    runs = (
+        ["check", "--algebra", a6_file, "--property", "weakly-associative"],
+        ["freewa", "--max-degree", "3", "--format", "json"],
+        ["check", "--algebra", a6_file, "--property", "associative"],
+    )
+    fresh = []
+    for argv in runs:
+        proc = _fresh(argv, stdout=subprocess.PIPE)
+        fresh.append((proc.communicate()[0], proc.returncode))
+    assert [(main(argv), capsys.readouterr().out)[::-1] for argv in runs] == fresh
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "cmd_freewa", lambda args: 7)
+    assert main(["freewa"]) == 7
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["delta3", "--kernel", "--format", "json"], 0), (["verify", "--format", "json"], 1)],
+    ids=["delta3-kernel", "verify"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    """A reader that stops after the first line, "{": the command ends with
+    its own exit code and prints no traceback.  The delta3 JSON is larger
+    than a pipe's buffer, so its writer finds the pipe closed."""
+    proc = _fresh(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert os.read(proc.stdout.fileno(), 2) == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == code
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
 
 
 def test_deform_invalid_deformation_exits_1(tmp_path, capsys):

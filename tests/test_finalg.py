@@ -1111,6 +1111,147 @@ def test_contract_rejects_bad_permutations_and_group_elements(rng):
             contract(3, 3, [], v)
 
 
+# Terms that share one packed product: a layout is the slot, the outer arity
+# and the (scalar, key map) list of an (outer, slot, inner); outer rows go in
+# superrows of 32 positions, packed by the rank of their output coordinates.
+
+def _sparse_map(arity: int, dim: int, rng, rows: int, coords, fractions: bool = False) -> MultiMap:
+    """`rows` random inputs and 1-3 output coordinates per row, all drawn
+    from `coords`, with small int or Fraction coefficients."""
+    values = {}
+    for _ in range(rows):
+        idx = tuple(rng.choice(coords) for _ in range(arity))
+        values[idx] = {
+            k: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4) if fractions else 1)
+            for k in rng.sample(coords, rng.randint(1, 3))
+        }
+    return MultiMap(arity, dim, values)
+
+
+def test_terms_of_several_layouts_match_reference(rng):
+    """Terms of one layout (same slot, scalar and key map) over several
+    inner maps whose outputs share keys, mixed with terms of other slots,
+    scalars and key maps, with and without v."""
+    dim = 4
+    f1, f2, g1, g2 = (random_multimap(2, dim, rng) for _ in range(4))
+    h = random_fraction_multimap(2, dim, rng)
+    one_layout = [(2, f1, 1, g1), (2, f2, 1, g2), (2, g2, 1, f1)]
+    others = [
+        (-1, f1, 0, g1), (-1, f2, 0, g2), (Fraction(2, 3), h, 1, g1),
+        (2, f1, 1, g2, (2, 1, 3)), (2, f2, 1, g1, (3, 1, 2)), (1, h, 0, h, (3, 1, 2)),
+    ]
+    for case in (one_layout, one_layout + others, others[::-1] + one_layout):
+        got = contract(3, dim, case)
+        assert got == reference_contract(3, dim, case)
+        assert_normalized(got)
+        for v in (wa_vector(), lie_admissible_vector(), _fraction_element(3, rng)):
+            assert contract(3, dim, case, v) == reference_contract(3, dim, case, v)
+    negated = [(-q, *rest) for q, *rest in one_layout + others]
+    assert contract(3, dim, one_layout + others + negated).is_zero()
+
+
+def test_positions_in_several_chunks_match_reference(rng):
+    """More than 32 positions around the slot, so outer rows go in several
+    superrows, which start at different blocks of their chunk; inner rows
+    with one entry and with several."""
+    for arity_outer, slot, dim in ((2, 0, 70), (3, 1, 9), (2, 1, 40)):
+        coords = list(range(dim))
+        outer = _sparse_map(arity_outer, dim, rng, 3 * dim, coords)
+        other = _sparse_map(arity_outer, dim, rng, 2 * dim, coords, fractions=True)
+        for inner in (
+            _sparse_map(2, dim, rng, dim, coords),
+            _sparse_map(1, dim, rng, dim, coords, fractions=True),
+            MultiMap(1, dim, {(i,): {k: 1 for k in rng.sample(coords, 6)} for i in range(dim)}),
+        ):
+            arity = arity_outer + inner.arity - 1
+            terms = [(1, outer, slot, inner), (1, other, slot, inner), (Fraction(-5, 3), outer, 0, inner)]
+            got = contract(arity, dim, terms)
+            assert got == reference_contract(arity, dim, terms)
+            assert_normalized(got)
+
+
+def test_coordinates_near_dim_match_reference(rng):
+    """Inputs and output coordinates at both ends of a dimension of 10^5:
+    rows are packed by coordinate rank, so their size follows the
+    coordinates in use."""
+    dim = 10**5
+    coords = [0, 1, 2, dim - 3, dim - 2, dim - 1]
+    for fractions in (False, True):
+        f = _sparse_map(2, dim, rng, 20, coords, fractions)
+        g = _sparse_map(2, dim, rng, 20, coords, fractions)
+        e = _sparse_map(1, dim, rng, 5, coords, fractions)
+        for arity, terms in (
+            (3, [(1, f, 0, g), (-1, f, 1, g), (Fraction(1, 7), g, 1, f, (2, 3, 1))]),
+            (2, [(3, f, 0, e), (-2, e, 0, g), (1, f, 1, e, (2, 1))]),
+            (1, [(1, e, 0, e)]),
+        ):
+            got = contract(arity, dim, terms)
+            assert got == reference_contract(arity, dim, terms)
+            assert_normalized(got)
+        assert contract(3, dim, [(1, f, 0, g)], wa_vector()) == reference_contract(3, dim, [(1, f, 0, g)], wa_vector())
+
+
+def test_fraction_scalars_match_reference(rng):
+    dim = 3
+    f, g = random_fraction_multimap(2, dim, rng), random_fraction_multimap(2, dim, rng)
+    n = random_multimap(2, dim, rng)
+    terms = [
+        (Fraction(1, 3), f, 0, g), (Fraction(-7, 4), f, 1, g), (Fraction(5, 6), n, 0, g),
+        (Fraction(2, 9), n, 1, n, (3, 2, 1)), (Fraction(1, 3), g, 0, f, (2, 1, 3)),
+    ]
+    for v in (None, wa_vector(), _fraction_element(3, rng)):
+        got = contract(3, dim, terms, v)
+        assert got == reference_contract(3, dim, terms, v)
+        assert_normalized(got)
+
+
+def test_empty_group_element_gives_the_zero_map(rng):
+    """v = 0 makes the width bound 0; the sum before v is still sized by
+    its own bound."""
+    zero3 = GroupAlgebraElement(3, {})
+    f, g = random_multimap(2, 3, rng, bound=9), random_fraction_multimap(2, 3, rng)
+    for terms in ([(1, f, 0, g), (5, f, 1, f)], [(Fraction(1, 2), g, 0, g, (3, 1, 2))], []):
+        got = contract(3, 3, terms, zero3)
+        assert got.is_zero() and got.arity == 3
+        assert got == reference_contract(3, 3, terms, zero3)
+    assert f.apply_group_vector(GroupAlgebraElement(2, {})).is_zero()
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of traced memory while it runs, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_contract_memory_on_diagonal_and_star_algebras():
+    """Outer rows at 2000 positions: e_i e_i = e_i (one row per position)
+    and e_1 e_i = e_i e_1 = e_i (2000 rows at one coordinate).  The bounds
+    are the peaks of one multiply-add per outer row (4.8 and 11.0 MB) plus
+    a few percent; superrows padded to whole chunks, or one unchunked sum
+    per inner row, take about twice as much."""
+    n = 2000
+    diagonal = FinAlg.from_products(n, {(i, i): {i: 1} for i in range(1, n + 1)})
+    star = FinAlg.from_products(
+        n, {**{(1, i): {i: 1} for i in range(1, n + 1)}, **{(i, 1): {i: 1} for i in range(1, n + 1)}}
+    )
+    held, peak = _traced_peak(is_weakly_associative, diagonal)
+    assert held and peak < 5_200_000
+    held, peak = _traced_peak(is_flexible, star)
+    assert held and peak < 11_600_000
+
+
+def test_contract_memory_follows_the_coordinates_in_use():
+    """e1 e1 = e1 e2 = e_dim and e_r e_r = e_(dim - r) for r = 2..21 in
+    dimension 10^5: 21 output coordinates in use, the largest near dim."""
+    n = 10**5
+    products = {(1, 1): {n: 1}, (1, 2): {n: 1}, **{(r, r): {n - r: 1} for r in range(2, 22)}}
+    held, peak = _traced_peak(is_weakly_associative, FinAlg.from_products(n, products))
+    assert held and peak < 2**19
+
+
 def _int_matrix(rng, n, bound):
     cells = rng.sample(range(n * n), (2 * n * n) // 3)
     flat = [0] * (n * n)
