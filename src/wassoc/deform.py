@@ -327,6 +327,9 @@ def bullet_preserving_check(deformation: TruncatedDeformation) -> BulletPreservi
 # JSON interchange.
 # ---------------------------------------------------------------------------
 
+_DEFORMATION_KEYS = frozenset(("base", "terms"))
+
+
 def deformation_from_json(doc) -> TruncatedDeformation:
     if isinstance(doc, (str, bytes)):
         try:
@@ -335,7 +338,7 @@ def deformation_from_json(doc) -> TruncatedDeformation:
             raise AlgebraFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("base"), dict):
         raise AlgebraFormatError("deformation document must carry a base algebra object")
-    _json_object(doc, ("base", "terms"), "deformation document")
+    _json_object(doc, _DEFORMATION_KEYS, "deformation document")
     base = algebra_from_json(doc["base"])
     terms = [
         multimap_from_json(t, base.dim, arity=2)

@@ -20,10 +20,9 @@ it.  `linear_combination` gives the sum, difference and multiples of maps.
 `contract` adds packed integers (Kronecker substitution): one digit width
 per call, from a bound on the output coefficients cleared of denominators,
 and each output coordinate at the digit of its rank among those in use.
-The terms of one layout share one product, in which an inner entry is one
-multiply-add for all outer rows at its coordinate (a superrow).  The input
-permutations and v act on the packed sums, and each output row is decoded
-once, at the end.
+The terms of one layout share one pass over the inner entries, each one
+multiply-add per outer row at its coordinate.  The input permutations and v
+act on the packed sums, and each output row is decoded once, at the end.
 
 Inputs are validated once, by the public `MultiMap` constructor, which is
 also the only check of the `FinAlg` constructor.  The results of `contract`,
@@ -299,9 +298,6 @@ def linear_combination(arity: int, dim: int, terms) -> MultiMap:
     return _trusted(arity, dim, coeffs)
 
 
-_CHUNK = 32  # positions per superrow of `contract`
-
-
 def _scan(m: MultiMap) -> tuple:
     """(D, T, w) of a nonzero map: D the lcm of its denominators, T the
     largest |D x| over its coefficients x and w its widest row; kept on the
@@ -327,26 +323,6 @@ def _pack(m: MultiMap, offset: dict) -> dict:
             x += c << offset[k]
         packed[idx] = x
     return packed
-
-
-def _superrows(rows: list, block_width: dict) -> list:
-    """[(chunk, superrow, shift, its rows)] of the (position, packed row)
-    pairs `rows`: sum x 2^((pos - lo) w) over the rows of a chunk, from its
-    lowest position lo, w the chunk's block width; 2^shift puts it in place
-    in the chunk."""
-    if len(block_width) == 1:
-        chunks = {0: rows}
-    else:
-        chunks = {}
-        for pos, x in rows:
-            chunks.setdefault(pos // _CHUNK, []).append((pos, x))
-    out = []
-    for chunk, group in chunks.items():
-        w = block_width[chunk]
-        lo = min(group)[0]
-        x = group[0][1] if len(group) == 1 else sum(x << ((pos - lo) * w) for pos, x in group)
-        out.append((chunk, x, (lo - chunk * _CHUNK) * w, group))
-    return out
 
 
 def _unpack(v: int, width: int, den: int, coords) -> dict:
@@ -407,17 +383,15 @@ def contract(arity: int, dim: int, terms, v: GroupAlgebraElement | None = None) 
     outer maps use.
 
     The terms of one layout (slot, outer arity and list of (s, images))
-    share one packed product.  Each (pre, post) of outer inputs around the
-    slot is a position; positions go in chunks of 32, each with blocks as
-    wide as its widest row.  For each inner map and coordinate a, the outer
-    rows at a in one chunk form a superrow, one block per position, from
-    its lowest occupied block, so an inner entry (jdx, a, c) is one
-    multiply-add per superrow.  The sum for jdx over the layout's inner
-    maps is read back once: each nonzero block, times each s, goes to the
-    accumulator entry of its key pre + jdx + post, permuted.  v acts on the
-    packed accumulator, and then each output row is decoded once, so a sum
-    that vanishes is never decoded.  Each q must be an int or a Fraction;
-    the operands are trusted (validated when built), and so is the result."""
+    share one pass over the inner inputs jdx.  Each (pre, post) of outer
+    inputs around the slot is a position, and an entry (jdx, a, c) of an
+    inner map of the layout is one multiply-add per outer row at a, into a
+    list indexed by position.  Only the positions touched are read back:
+    each nonzero sum, times each s, goes to the accumulator entry of its
+    key pre + jdx + post, permuted.  v acts on the packed accumulator, and
+    then each output row is decoded once, so a sum that vanishes is never
+    decoded.  Each q must be an int or a Fraction; the operands are trusted
+    (validated when built), and so is the result."""
     if v is not None and v.n != arity:
         raise ValueError(f"degree-{v.n} group-algebra element on an arity-{arity} map")
     groups: dict = {}
@@ -463,8 +437,7 @@ def contract(arity: int, dim: int, terms, v: GroupAlgebraElement | None = None) 
     for (slot, _, scalars), inners in layouts.items():
         scaled = [(s, getters[perm]) for s, perm in scalars]
         positions: dict = {}
-        bits: dict = {}
-        superrows = []
+        tables = []
         for inner, outers in inners.values():
             by_a: dict = {}
             for outer in outers:
@@ -473,45 +446,27 @@ def contract(arity: int, dim: int, terms, v: GroupAlgebraElement | None = None) 
                 for idx, x in packed[id(outer)].items():
                     pos = positions.setdefault((idx[:slot], idx[slot + 1 :]), len(positions))
                     by_a.setdefault(idx[slot], []).append((pos, x))
-                    chunk = pos // _CHUNK
-                    if x.bit_length() > bits.get(chunk, 0):
-                        bits[chunk] = x.bit_length()
-            superrows.append((inner.coeffs, _scan(inner)[0], by_a))
-        block_width = {chunk: (b // width + 1) * width for chunk, b in bits.items()}
-        for _, _, by_a in superrows:
-            for a, rows in by_a.items():
-                by_a[a] = _superrows(rows, block_width)
+            tables.append((inner.coeffs, _scan(inner)[0], by_a))
         pre_posts = list(positions)
-        for jdx in dict.fromkeys(itertools.chain.from_iterable(c for c, _, _ in superrows)):
-            # chunk -> [c, superrow, shift, its rows] while one term is in
-            # it, then [1, sum, shift, None].
-            sums: dict = {}
-            for coeffs, d_inner, by_a in superrows:
+        local = [0] * len(pre_posts)
+        for jdx in dict.fromkeys(itertools.chain.from_iterable(c for c, _, _ in tables)):
+            touched = []
+            for coeffs, d_inner, by_a in tables:
                 for a, c in coeffs.get(jdx, {}).items():
                     if d_inner != 1:
                         c = c.numerator * (d_inner // c.denominator)
-                    for chunk, x, shift, rows in by_a.get(a, ()):
-                        t = sums.get(chunk)
-                        if t is None:
-                            sums[chunk] = [c, x, shift, rows]
-                            continue
-                        if t[3] is not None:
-                            t[:] = 1, t[0] * t[1], t[2], None
-                        if shift == t[2]:
-                            t[1] += c * x
-                        else:  # align the two at the lower shift
-                            lo = min(shift, t[2])
-                            t[1:3] = (t[1] << (t[2] - lo)) + ((c * x) << (shift - lo)), lo
-            for chunk, (c, total, shift, rows) in sums.items():
-                if rows is None:
-                    w = block_width[chunk]
-                    base = chunk * _CHUNK + shift // w
-                    rows = _unpack(total, w, 1, range(base, base + _CHUNK)).items()
-                terms = scaled if c == 1 else [(s * c, getter) for s, getter in scaled]
-                for pos, x in rows:
+                    for pos, x in by_a.get(a, ()):
+                        y = local[pos]
+                        if not y:
+                            touched.append(pos)
+                        local[pos] = y + c * x
+            for pos in touched:
+                x = local[pos]
+                if x:
+                    local[pos] = 0
                     pre, post = pre_posts[pos]
                     out = pre + jdx + post
-                    for s, getter in terms:
+                    for s, getter in scaled:
                         key = out if getter is None else getter(out)
                         acc[key] = acc.get(key, 0) + s * x
     if v is not None:
@@ -754,12 +709,17 @@ def _format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _json_object(node, keys: tuple, what: str):
+_DOCUMENT_KEYS = frozenset(("dim", "products"))
+_ENTRY_KEYS = frozenset(("i", "j", "out"))
+_TERM_KEYS = frozenset(("k", "c"))
+
+
+def _json_object(node, keys: frozenset, what: str):
     """Raise unless `node` is a JSON object whose keys are all in `keys`."""
     if not isinstance(node, dict):
         raise AlgebraFormatError(f"{what} must be an object, not {type(node).__name__}")
-    unknown = sorted(map(repr, set(node) - set(keys)))
-    if unknown:
+    if not node.keys() <= keys:
+        unknown = sorted(map(repr, node.keys() - keys))
         raise AlgebraFormatError(f"unknown key(s) in {what}: {', '.join(unknown)}")
 
 
@@ -783,19 +743,19 @@ def algebra_from_json(doc) -> FinAlg:
             raise AlgebraFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc:
         raise AlgebraFormatError("algebra document must be an object with 'dim'")
-    _json_object(doc, ("dim", "products"), "algebra document")
+    _json_object(doc, _DOCUMENT_KEYS, "algebra document")
     n = doc["dim"]
     if not _json_int(n) or n < 1:
         raise AlgebraFormatError(f"bad dimension {n!r}")
     values: dict = {}
     for entry in _json_list(doc.get("products", []), "'products'"):
-        _json_object(entry, ("i", "j", "out"), "product entry")
+        _json_object(entry, _ENTRY_KEYS, "product entry")
         i, j = entry.get("i"), entry.get("j")
         if not (_json_int(i) and _json_int(j) and 1 <= i <= n and 1 <= j <= n):
             raise AlgebraFormatError(f"product indices out of range: i={i!r} j={j!r}")
         row = values.setdefault((i - 1, j - 1), {})
         for term in _json_list(entry.get("out", []), "'out'"):
-            _json_object(term, ("k", "c"), "output term")
+            _json_object(term, _TERM_KEYS, "output term")
             k = term.get("k")
             if not (_json_int(k) and 1 <= k <= n):
                 raise AlgebraFormatError(f"output index out of range: k={k!r}")

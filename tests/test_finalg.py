@@ -435,6 +435,30 @@ def test_algebra_json_rejects_booleans(doc):
         algebra_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"dim": 1, "products": [], "zeta": 1, "alpha": 2}, "unknown key(s) in algebra document: 'alpha', 'zeta'"),
+        ({"dim": 1, "products": [{"i": 1, "j": 1, "out": [], "c": 0, 7: 1}]},
+         "unknown key(s) in product entry: 'c', 7"),
+        ({"dim": 1, "products": [{"i": 1, "j": 1, "out": [{"k": 1, "c": "1", "i": 1}]}]},
+         "unknown key(s) in output term: 'i'"),
+        ({"dim": 1, "products": [[1, 1]]}, "product entry must be an object, not list"),
+        ({"dim": 1, "products": [{"i": 1, "j": 1, "out": ["k"]}]}, "output term must be an object, not str"),
+        ({"base": {"dim": 1}, "terms": [], "order": 2}, "unknown key(s) in deformation document: 'order'"),
+    ],
+    ids=["document", "entry", "term", "entry-list", "term-string", "deformation"],
+)
+def test_json_objects_name_their_unknown_keys_in_order(doc, message):
+    """The message lists the keys outside the format, sorted by repr."""
+    from wassoc.deform import deformation_from_json
+
+    parse = deformation_from_json if "base" in doc else algebra_from_json
+    with pytest.raises(AlgebraFormatError) as exc:
+        parse(doc)
+    assert str(exc.value) == message
+
+
 def test_multimap_json_roundtrip(rng):
     m = random_multimap(2, 3, rng)
     doc = multimap_to_json(m)
@@ -1111,9 +1135,9 @@ def test_contract_rejects_bad_permutations_and_group_elements(rng):
             contract(3, 3, [], v)
 
 
-# Terms that share one packed product: a layout is the slot, the outer arity
-# and the (scalar, key map) list of an (outer, slot, inner); outer rows go in
-# superrows of 32 positions, packed by the rank of their output coordinates.
+# Terms that share one pass over the inner entries: a layout is the slot, the
+# outer arity and the (scalar, key map) list of an (outer, slot, inner); outer
+# rows are summed by position, packed by the rank of their output coordinates.
 
 def _sparse_map(arity: int, dim: int, rng, rows: int, coords, fractions: bool = False) -> MultiMap:
     """`rows` random inputs and 1-3 output coordinates per row, all drawn
@@ -1151,8 +1175,8 @@ def test_terms_of_several_layouts_match_reference(rng):
 
 
 def test_positions_in_several_chunks_match_reference(rng):
-    """More than 32 positions around the slot, so outer rows go in several
-    superrows, which start at different blocks of their chunk; inner rows
+    """Tens of positions around the slot, several outer rows at one inner
+    coordinate and positions touched by several inner entries; inner rows
     with one entry and with several."""
     for arity_outer, slot, dim in ((2, 0, 70), (3, 1, 9), (2, 1, 40)):
         coords = list(range(dim))
@@ -1230,8 +1254,8 @@ def test_contract_memory_on_diagonal_and_star_algebras():
     """Outer rows at 2000 positions: e_i e_i = e_i (one row per position)
     and e_1 e_i = e_i e_1 = e_i (2000 rows at one coordinate).  The bounds
     are the peaks of one multiply-add per outer row (4.8 and 11.0 MB) plus
-    a few percent; superrows padded to whole chunks, or one unchunked sum
-    per inner row, take about twice as much."""
+    a few percent; summing all positions of an inner row into one packed
+    integer takes about twice as much."""
     n = 2000
     diagonal = FinAlg.from_products(n, {(i, i): {i: 1} for i in range(1, n + 1)})
     star = FinAlg.from_products(
@@ -1301,10 +1325,11 @@ def _plane_deformations(seed: int, degrees=(2, 3)):
 
 
 def test_contract_on_gauged_plane_deformations():
-    """The weak associativity defects of the benchmark's gauged dim-6 and
-    dim-10 deformations (seed 1), whose phi_1..phi_3 are dense."""
+    """The weak associativity defects of the benchmark's gauged dim-6,
+    dim-10 and dim-15 deformations (seed 1), whose phi_1..phi_3 are dense;
+    dim 15 is the densest contraction of the `algebras` workload."""
     dims = []
-    for deformation in _plane_deformations(1):
+    for deformation in _plane_deformations(1, (2, 3, 4)):
         n = deformation.base.dim
         dims.append(n)
         phi = [deformation.coefficient(i) for i in range(4)]
@@ -1317,7 +1342,7 @@ def test_contract_on_gauged_plane_deformations():
             ]
             got = assert_contract_matches_reference(3, n, terms)
             assert got.apply_group_vector(wa_vector()).is_zero()
-    assert dims == [6, 10]
+    assert dims == [6, 10, 15]
 
 
 def test_product_map_matches_validating_constructor(wa_members, non_wa_members):
