@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cohomology import NotMultiderivation, lichnerowicz_delta, poisson_context
+from .cohomology import lichnerowicz_delta, poisson_context
 from .finalg import (
     AlgebraFormatError,
     FinAlg,
@@ -24,7 +24,6 @@ from .finalg import (
     endo_to_map,
     identity_map,
     is_commutative,
-    is_nonassociative_poisson,
     is_weakly_associative,
     leibniz_defect_pair,
     multimap_from_json,
@@ -145,7 +144,7 @@ def _quantization(deformation: TruncatedDeformation) -> QuantizationReport:
     failure = None
     if failing is not None:
         failure = f"not weakly associative at order {failing}"
-    elif not (jacobi_ok and leibniz_ok):
+    elif not poisson_ok:
         failure = (
             "VALID deformation with failing bracket identities: "
             f"jacobi={jacobi_ok} leibniz={leibniz_ok}"
@@ -264,7 +263,7 @@ def ncp_defect(
     - rho1(y, {x,z})."""
     if not is_commutative(bullet):
         raise ValueError("bullet must be commutative")
-    if not (is_nonassociative_poisson(bullet, bracket) or satisfies_jacobi(bracket)):
+    if not satisfies_jacobi(bracket):
         raise ValueError("bracket must be a Lie bracket")
     dot, br = bullet.mu, bracket.mu
     swap12 = (2, 1, 3)  # (x, y, z) -> (y, x, z)
@@ -305,7 +304,7 @@ def bullet_preserving_check(deformation: TruncatedDeformation) -> BulletPreservi
         return BulletPreservingReport(True, [], True, True, "zero first-order term")
     try:
         image = lichnerowicz_delta(ctx, phi1)
-    except (NotMultiderivation, ValueError) as exc:
+    except ValueError as exc:  # a NotMultiderivation is a ValueError
         return BulletPreservingReport(
             all_terms_skew=True,
             non_skew_orders=[],

@@ -8,10 +8,11 @@ dual dimensions in the associative word space, and generating-function
 arithmetic.  A relation span is the unique sparse RREF of the identities'
 rows (`linalg.sparse_rref`), so equal spans have equal `RelationSpace.rows`;
 membership is a normal form (`linalg.sparse_reduce`) and the annihilator a
-kernel (`linalg.sparse_kernel`).  The arity-4 dual relations are sparse word
-rows over the 24 words of `all_perms(4)` (lex order, the `sigma_basis(4)`
-order, so a group-algebra element's `sparse_row` is its word row), reduced
-the same way; every kernel is a list of sparse rows.
+kernel (`linalg.sparse_kernel`).  A word in n letters is the permutation
+whose images it lists, so a word combination is a group-algebra element of
+S_n whose `sparse_row` is its `Fraction`-valued word row (lex word order at
+n = 4); each placement of R3 is built from `symgroup.dual3_relation_vector`
+and reduced the same way.  Every kernel is a list of sparse rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .identities import (
     wa_expression,
 )
 from .linalg import sparse_kernel, sparse_reduce, sparse_rref
-from .symgroup import Perm, all_perms, sigma_basis
+from .symgroup import GroupAlgebraElement, Perm, all_perms, dual3_relation_vector, sigma_basis
 
 
 def free_dim(arity: int) -> int:
@@ -158,51 +159,32 @@ def annihilator(r: RelationSpace) -> RelationSpace:
 # the 24-dimensional word space modulo every placement of R3.
 # ---------------------------------------------------------------------------
 
-Word = tuple[int, ...]
+_R3_TERMS = tuple(dual3_relation_vector().coeffs.items())
 
 
-def _cat(*parts: Word) -> Word:
-    out: tuple[int, ...] = ()
-    for p in parts:
-        out += p
-    return out
+def _r3(u: tuple, v: tuple, w: tuple, prefix: tuple = (), suffix: tuple = ()) -> GroupAlgebraElement:
+    """R3(u, v, w) on three words between a prefix and a suffix word: each
+    term q * sigma of `dual3_relation_vector` becomes q times the word
+    prefix, the words in the order sigma(1) sigma(2) sigma(3), suffix, read
+    as the images of a permutation.  The three words are nonempty with
+    disjoint letters, so the four words differ."""
+    parts = (u, v, w)
+    n = len(prefix + u + v + w + suffix)
+    return GroupAlgebraElement(n, {
+        Perm(n, prefix + parts[s(1) - 1] + parts[s(2) - 1] + parts[s(3) - 1] + suffix): q
+        for s, q in _R3_TERMS
+    })
 
 
-def r3_terms(u: Word, v: Word, w: Word) -> dict[Word, int]:
-    """R3(u, v, w) = uvw + wvu - uwv - vwu as a word combination."""
-    acc: dict[Word, int] = {}
-    for word, c in (
-        (_cat(u, v, w), 1),
-        (_cat(w, v, u), 1),
-        (_cat(u, w, v), -1),
-        (_cat(v, w, u), -1),
-    ):
-        acc[word] = acc.get(word, 0) + c
-    return {k: v for k, v in acc.items() if v != 0}
-
-
-def _word_rows(combinations: list[dict[Word, int]]) -> list[dict[int, int]]:
-    """Word combinations in four letters as sparse rows {position of the
-    word in `all_perms(4)`: coefficient}."""
-    index = {p.images: i for i, p in enumerate(all_perms(4))}
-    return [{index[w]: c for w, c in terms.items()} for terms in combinations]
-
-
-def dual_arity4_generators() -> list[dict[int, int]]:
-    """Every placement of R3 among four letters, as a word row: one slot a
-    two-letter word (three positions), or an outer letter on either side."""
-    gens: list[dict[Word, int]] = []
-    letters = (1, 2, 3, 4)
-    for assign in itertools.permutations(letters):
-        a, b, c, d = assign
-        gens.append(r3_terms((a, b), (c,), (d,)))
-        gens.append(r3_terms((a,), (b, c), (d,)))
-        gens.append(r3_terms((a,), (b,), (c, d)))
-    for assign in itertools.permutations(letters):
-        a, b, c, d = assign
-        gens.append({_cat((a,), w): q for w, q in r3_terms((b,), (c,), (d,)).items()})
-        gens.append({_cat(w, (a,)): q for w, q in r3_terms((b,), (c,), (d,)).items()})
-    return _word_rows(gens)
+def dual_arity4_generators() -> list[dict[int, Fraction]]:
+    """Every placement of R3 among four letters (one slot a two-letter word,
+    or an outer letter on either side) as a `Fraction`-valued word row."""
+    gens = []
+    for a, b, c, d in itertools.permutations((1, 2, 3, 4)):
+        gens += [_r3((a, b), (c,), (d,)), _r3((a,), (b, c), (d,)), _r3((a,), (b,), (c, d))]
+    for a, b, c, d in itertools.permutations((1, 2, 3, 4)):
+        gens += [_r3((b,), (c,), (d,), prefix=(a,)), _r3((b,), (c,), (d,), suffix=(a,))]
+    return [g.sparse_row() for g in gens]
 
 
 @dataclass
@@ -235,73 +217,42 @@ def wass_dual_arity4_dim() -> int:
     return wass_dual_arity4().dim
 
 
-def reduced_placement_matrix() -> list[dict[int, int]]:
-    """The 24 x 24 system, as word rows, of middle placements R3(x, yz, w)
-    (16 rows after the syzygy reductions) plus outer products x R3(y,z,w)
+def reduced_placement_matrix() -> list[dict[int, Fraction]]:
+    """The 24 x 24 system, as `Fraction`-valued word rows, of the middle
+    placements R3(x, yz, w) (16 after the syzygy reductions) and x R3(y,z,w)
     (8 rows): a square system of rank 16 with an 8-dimensional kernel.  (The
     published rank 18, kernel 6, is refuted by this computation.)"""
-    rows: list[dict[Word, int]] = []
     listed = [
         (1, (2, 3), 4), (2, (1, 3), 4), (3, (2, 1), 4), (4, (2, 3), 1),
         (1, (3, 2), 4), (1, (4, 3), 2), (2, (3, 1), 4), (2, (4, 3), 1),
         (3, (1, 2), 4), (3, (2, 4), 1), (4, (1, 3), 2), (4, (2, 1), 3),
         (1, (3, 4), 2), (2, (3, 4), 1), (3, (4, 2), 1), (4, (3, 1), 2),
     ]
-    for a, (b, c), d in listed:
-        rows.append(r3_terms((a,), (b, c), (d,)))
+    rows = [_r3((a,), yz, (d,)) for a, yz, d in listed]
     for a in (1, 2, 3, 4):
-        rest = sorted(set((1, 2, 3, 4)) - {a})
-        b, c, d = rest
-        rows.append({_cat((a,), w): q for w, q in r3_terms((b,), (c,), (d,)).items()})
-        rows.append({_cat((a,), w): q for w, q in r3_terms((c,), (b,), (d,)).items()})
-    return _word_rows(rows)
+        b, c, d = sorted({1, 2, 3, 4} - {a})
+        rows += [_r3((b,), (c,), (d,), prefix=(a,)), _r3((c,), (b,), (d,), prefix=(a,))]
+    return [g.sparse_row() for g in rows]
 
 
 def r3_syzygies() -> dict[str, bool]:
     """The displayed consequences of R3, verified by direct word expansion."""
-
-    def is_zero(terms: dict[Word, int]) -> bool:
-        return all(c == 0 for c in terms.values())
-
-    def add(*dicts):
-        acc: dict[Word, int] = {}
-        for d, s in dicts:
-            for w, c in d.items():
-                acc[w] = acc.get(w, 0) + s * c
-        return acc
-
     a, b, c, d = (1,), (2,), (3,), (4,)
     checks = {
-        "R3(a,b,c) + R3(a,c,b) = 0": add(
-            (r3_terms(a, b, c), 1), (r3_terms(a, c, b), 1)
+        "R3(a,b,c) + R3(a,c,b) = 0": _r3(a, b, c) + _r3(a, c, b),
+        "R3(a,b,c) + R3(c,a,b) - R3(b,a,c) = 0": _r3(a, b, c) + _r3(c, a, b) - _r3(b, a, c),
+        "R3(a,bc,d) + R3(a,db,c) - R3(a,cd,b) = 0": (
+            _r3(a, b + c, d) + _r3(a, d + b, c) - _r3(a, c + d, b)
         ),
-        "R3(a,b,c) + R3(c,a,b) - R3(b,a,c) = 0": add(
-            (r3_terms(a, b, c), 1), (r3_terms(c, a, b), 1), (r3_terms(b, a, c), -1)
+        "R3(a,b,c)d - R3(d,bc,a) + R3(d,cb,a) - dR3(a,b,c) = 0": (
+            _r3(a, b, c, suffix=d) - _r3(d, b + c, a) + _r3(d, c + b, a) - _r3(a, b, c, prefix=d)
         ),
-        "R3(a,bc,d) + R3(a,db,c) - R3(a,cd,b) = 0": add(
-            (r3_terms(a, _cat(b, c), d), 1),
-            (r3_terms(a, _cat(d, b), c), 1),
-            (r3_terms(a, _cat(c, d), b), -1),
-        ),
-        "R3(a,b,c)d - R3(d,bc,a) + R3(d,cb,a) - dR3(a,b,c) = 0": add(
-            ({_cat(w, d): q for w, q in r3_terms(a, b, c).items()}, 1),
-            (r3_terms(d, _cat(b, c), a), -1),
-            (r3_terms(d, _cat(c, b), a), 1),
-            ({_cat(d, w): q for w, q in r3_terms(a, b, c).items()}, -1),
+        "eight-term middle-placement relation = 0": (
+            _r3(a, d + c, b) - _r3(a, c + d, b) + _r3(b, c + d, a) - _r3(b, d + c, a)
+            + _r3(c, b + a, d) - _r3(c, a + b, d) + _r3(d, a + b, c) - _r3(d, b + a, c)
         ),
     }
-    eight = add(
-        (r3_terms((1,), (4, 3), (2,)), 1),
-        (r3_terms((1,), (3, 4), (2,)), -1),
-        (r3_terms((2,), (3, 4), (1,)), 1),
-        (r3_terms((2,), (4, 3), (1,)), -1),
-        (r3_terms((3,), (2, 1), (4,)), 1),
-        (r3_terms((3,), (1, 2), (4,)), -1),
-        (r3_terms((4,), (1, 2), (3,)), 1),
-        (r3_terms((4,), (2, 1), (3,)), -1),
-    )
-    checks["eight-term middle-placement relation = 0"] = eight
-    return {name: is_zero(terms) for name, terms in checks.items()}
+    return {name: v.is_zero() for name, v in checks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +273,18 @@ def generating_function(dims: list[int], order: int) -> list[Fraction]:
 
 
 def compose_series(f: list[Fraction], g: list[Fraction], order: int) -> list[Fraction]:
-    """Coefficients of f(g(x)) for power series with zero constant term."""
-    # g_pow[k] = coefficients of g(x)^k, truncated
-    g = [Fraction(x) for x in g[:order]] + [Fraction(0)] * max(0, order - len(g))
-    out = [Fraction(0)] * order
-    g_pow = [Fraction(0)] * order
-    # start with g^1
-    current = list(g)
-    for k in range(1, order + 1):
-        if k > 1:
-            nxt = [Fraction(0)] * order
-            for i, a in enumerate(current, start=1):
-                if a == 0:
-                    continue
-                for j, b in enumerate(g, start=1):
-                    if i + j <= order and b != 0:
-                        nxt[i + j - 1] += a * b
-            current = nxt
-        coeff = f[k - 1] if k - 1 < len(f) else Fraction(0)
-        if coeff != 0:
-            for i in range(order):
-                out[i] += coeff * current[i]
-    return out
+    """Coefficients of x^1..x^order of f(g(x)) for power series with zero
+    constant term, by Horner's rule: f(g) = g (f1 + g (f2 + g (f3 + ...)))."""
+    f, g = ([Fraction(x) for x in c[:order]] + [Fraction(0)] * max(0, order - len(c)) for c in (f, g))
+
+    def times_g(h: list[Fraction]) -> list[Fraction]:
+        """x^1..x^order of g * h, for h given from x^0."""
+        return [sum((g[i] * h[m - i] for i in range(m + 1)), Fraction(0)) for m in range(order)]
+
+    h = [Fraction(0)] * order
+    for fk in reversed(f):
+        h = [fk] + times_g(h)[:-1]
+    return times_g(h)
 
 
 def koszul_composition_check(f: list[Fraction], g: list[Fraction], order: int) -> list[Fraction]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import as_rational, sparse_reduce, sparse_rref
 
@@ -124,6 +125,13 @@ def sigma_basis(n: int) -> tuple[Perm, ...]:
     return all_perms(n)
 
 
+@lru_cache(maxsize=None)
+def _basis_index(n: int) -> dict[Perm, int]:
+    """Perm -> position in `sigma_basis(n)`, built once per degree and
+    shared by every element of that degree."""
+    return {p: i for i, p in enumerate(sigma_basis(n))}
+
+
 def format_perm(p: Perm) -> str:
     if p.n == 3:
         return _SIGMA3_NAMES[SIGMA3.index(p)]
@@ -192,7 +200,7 @@ class GroupAlgebraElement:
             raise ValueError("degree mismatch")
         acc = dict(self.coeffs)
         for p, q in other.coeffs.items():
-            acc[p] = acc.get(p, Fraction(0)) + q
+            acc[p] = acc[p] + q if p in acc else q
         return GroupAlgebraElement(self.n, acc)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
@@ -207,7 +215,7 @@ class GroupAlgebraElement:
 
     def sparse_row(self) -> dict[int, Fraction]:
         """{coordinate in `sigma_basis(n)`: coefficient} of the nonzero terms."""
-        index = {p: i for i, p in enumerate(sigma_basis(self.n))}
+        index = _basis_index(self.n)
         return {index[p]: q for p, q in self.coeffs.items()}
 
     def __str__(self) -> str:
@@ -325,36 +333,14 @@ def cochain3_vectors() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
 
 
 def dual3_relation_vector() -> GroupAlgebraElement:
-    """Id + (13) - (23) - c: word form of the cubic relation satisfied by
-    algebras over the dual operad."""
+    """Id + (13) - (23) - c: the cubic relation R3 satisfied by algebras over
+    the dual operad, in word form, and its one declaration: `operads` places
+    it on words to build every arity-4 dual relation and syzygy."""
     return ga(3, (1, ID3), (1, T13), (-1, T23), (-1, C3))
 
 
-def cochain4_vectors() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
-    """Symmetry conditions on operadic 4-cochains, derived from the two
-    quartic relations of the dual operad (term-wise inverses of the word
-    vectors Id+(14)-(243)-(1234) and Id+(24)-(34)-(234))."""
-    n = 4
-    e = identity_perm(4)
-    v4 = ga(
-        n,
-        (1, e),
-        (1, parse_perm("(14)", 4)),
-        (-1, parse_perm("(234)", 4)),
-        (-1, parse_perm("(1432)", 4)),
-    )
-    v4p = ga(
-        n,
-        (1, e),
-        (1, parse_perm("(24)", 4)),
-        (-1, parse_perm("(34)", 4)),
-        (-1, parse_perm("(243)", 4)),
-    )
-    return v4, v4p
-
-
 def dual4_word_vectors() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
-    """Word forms of the two quartic relations of the dual operad."""
+    """The two quartic relations of the dual operad in word form."""
     n = 4
     e = identity_perm(4)
     r1 = ga(
@@ -372,3 +358,14 @@ def dual4_word_vectors() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
         (-1, parse_perm("(234)", 4)),
     )
     return r1, r2
+
+
+def cochain4_vectors() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
+    """Symmetry conditions on operadic 4-cochains, derived from the two
+    quartic relations of the dual operad: the term-wise inverses of
+    `dual4_word_vectors`."""
+    v4, v4p = (
+        GroupAlgebraElement(4, {p.inverse(): q for p, q in r.coeffs.items()})
+        for r in dual4_word_vectors()
+    )
+    return v4, v4p

@@ -7,6 +7,7 @@ from test_finalg import reference_lmul_basis, reference_rmul_basis, reference_wa
 from wassoc.cohomology import CochainContext, wa_delta1, wa_delta2
 from wassoc.corpus import (
     plane_quotient,
+    truncated_polynomials,
     random_endomorphism,
     random_fraction_multimap,
     random_multimap,
@@ -39,6 +40,7 @@ from wassoc.finalg import (
     is_commutative,
     is_nonassociative_poisson,
     polarize,
+    satisfies_jacobi,
 )
 from wassoc.linalg import Matrix
 
@@ -290,6 +292,39 @@ def test_ncp_defect_matches_six_term_reference(mu, ring, rng):
             - compose(rho1, 1, br).permute_inputs((2, 1, 3))
         )
         assert ncp_defect(bullet, bracket, rho1, b1) == want
+
+
+def skew_products(dim: int, brackets: dict) -> FinAlg:
+    """The anticommutative algebra with [e_i, e_j] = -[e_j, e_i] = v for
+    each (i, j): v of `brackets` (1-based, as `FinAlg.from_products`)."""
+    products = {}
+    for (i, j), v in brackets.items():
+        products[(i, j)] = v
+        products[(j, i)] = {k: -c for k, c in v.items()}
+    return FinAlg.from_products(dim, products)
+
+
+def test_ncp_defect_rejects_noncommutative_bullet():
+    ut = upper_triangular()
+    bracket = skew_products(3, {})
+    zero = MultiMap.zero(2, 3)
+    with pytest.raises(ValueError, match="bullet must be commutative"):
+        ncp_defect(ut, bracket, zero, zero)
+
+
+def test_ncp_defect_rejects_bracket_failing_jacobi():
+    bullet = truncated_polynomials(3)
+    # [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = [e2,e3] = e1
+    bracket = skew_products(3, {(1, 2): {3: 1}, (1, 3): {3: 1}, (2, 3): {1: 1}})
+    assert not satisfies_jacobi(bracket)
+    zero = MultiMap.zero(2, 3)
+    with pytest.raises(ValueError, match="bracket must be a Lie bracket"):
+        ncp_defect(bullet, bracket, zero, zero)
+    # so(3) satisfies Jacobi but not the Leibniz rule with K[x]/(x^3): the
+    # pair is not nonassociative Poisson, and the defect is still defined
+    so3 = skew_products(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}})
+    assert satisfies_jacobi(so3) and not is_nonassociative_poisson(bullet, so3)
+    assert ncp_defect(bullet, so3, zero, zero).is_zero()
 
 
 def test_bullet_preserving_pencil(mu, ring):

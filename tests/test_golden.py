@@ -7,6 +7,9 @@ unchanged; regenerate a file only for an intended change of output, e.g.
 
     python -m wassoc delta3 --kernel --format json > tests/golden/delta3_kernel.json
 
+`operad.txt` pins the text form of `wassoc operad`, written before the
+arity-4 dual placements became group-algebra elements.
+
 `tensors.json` pins exact tensor values of the deformation layer (the terms
 of a gauged deformation and the order-1..3 weak associativity defects of a
 deformation with non-integral coefficients that fails weak associativity),
@@ -67,6 +70,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("verify.json", ["verify", "--format", "json", "--seed", "1"], 1),
     ("operad.json", ["operad", "--format", "json"], 0),
+    ("operad.txt", ["operad"], 0),
     ("homology.json", ["homology", "--format", "json"], 0),
     ("delta3_kernel.json", ["delta3", "--kernel", "--format", "json"], 0),
     ("freewa.json", ["freewa", "--max-degree", "6", "--format", "json"], 0),

@@ -23,6 +23,7 @@ from wassoc.operads import (
     RelationSpace,
     annihilator,
     associativity_relation_space,
+    compose_series,
     consequences,
     dual_pairing,
     free_dim,
@@ -31,7 +32,6 @@ from wassoc.operads import (
     koszul_composition_check,
     pairing_gram_matrix,
     r3_syzygies,
-    r3_terms,
     reduced_placement_matrix,
     relation_closure,
     span_of,
@@ -69,16 +69,48 @@ def word_vector_from_group(v) -> tuple:
     return word_vector({p.images: q for p, q in v.coeffs.items()}, v.n)
 
 
+def r3_words(u: tuple, v: tuple, w: tuple) -> dict:
+    """R3(u, v, w) = uvw + wvu - uwv - vwu on words (tuples of letters), as
+    {word: coefficient}: the expansion the group-algebra rows of `operads`
+    are compared with."""
+    acc = {}
+    for word, c in ((u + v + w, 1), (w + v + u, 1), (u + w + v, -1), (v + w + u, -1)):
+        acc[word] = acc.get(word, 0) + c
+    return {word: c for word, c in acc.items() if c}
+
+
+def placed(prefix: tuple, terms: dict, suffix: tuple = ()) -> dict:
+    """A word combination between a prefix and a suffix word."""
+    return {prefix + w + suffix: q for w, q in terms.items()}
+
+
 def reference_dual_arity4_generators() -> list[tuple]:
     """Every placement of R3 among four letters as a dense word vector, in
     the order of `dual_arity4_generators`."""
     gens = []
     for a, b, c, d in itertools.permutations((1, 2, 3, 4)):
-        gens += [r3_terms((a, b), (c,), (d,)), r3_terms((a,), (b, c), (d,)), r3_terms((a,), (b,), (c, d))]
+        gens += [r3_words((a, b), (c,), (d,)), r3_words((a,), (b, c), (d,)), r3_words((a,), (b,), (c, d))]
     for a, b, c, d in itertools.permutations((1, 2, 3, 4)):
-        outer = r3_terms((b,), (c,), (d,))
-        gens += [{(a,) + w: q for w, q in outer.items()}, {w + (a,): q for w, q in outer.items()}]
+        outer = r3_words((b,), (c,), (d,))
+        gens += [placed((a,), outer), placed((), outer, (a,))]
     return [word_vector(g, 4) for g in gens]
+
+
+def reference_reduced_placements() -> list[tuple]:
+    """The 16 listed middle placements R3(x, yz, w) and the 8 outer products
+    x R3(y, z, w), x R3(z, y, w) with y < z < w, as dense word vectors in the
+    order of `reduced_placement_matrix`."""
+    listed = [
+        (1, (2, 3), 4), (2, (1, 3), 4), (3, (2, 1), 4), (4, (2, 3), 1),
+        (1, (3, 2), 4), (1, (4, 3), 2), (2, (3, 1), 4), (2, (4, 3), 1),
+        (3, (1, 2), 4), (3, (2, 4), 1), (4, (1, 3), 2), (4, (2, 1), 3),
+        (1, (3, 4), 2), (2, (3, 4), 1), (3, (4, 2), 1), (4, (3, 1), 2),
+    ]
+    rows = [r3_words((x,), yz, (w,)) for x, yz, w in listed]
+    for x in (1, 2, 3, 4):
+        y, z, w = sorted({1, 2, 3, 4} - {x})
+        rows += [placed((x,), r3_words((y,), (z,), (w,))), placed((x,), r3_words((z,), (y,), (w,)))]
+    return [word_vector(r, 4) for r in rows]
 
 
 def test_word_rows_match_dense_reference():
@@ -252,6 +284,7 @@ def test_dual_arity4_tree_space_agreement():
 def test_reduced_placement_square_matrix():
     rows = reduced_placement_matrix()
     assert all(0 <= j < 24 for row in rows for j in row)
+    assert [dense_row(row, 24) for row in rows] == reference_reduced_placements()
     m = densify(rows, 24)
     assert m.rows == 24 and m.cols == 24
     assert rank(m) == 16
@@ -287,7 +320,7 @@ def test_dual3_relation_matches_word_form():
     # abc + cba - acb - bca as words equals the stated degree-3 dual vector
     v = dual3_relation_vector()
     vec = word_vector_from_group(v)
-    terms = r3_terms((1,), (2,), (3,))
+    terms = r3_words((1,), (2,), (3,))
     assert vec == word_vector(terms, 3)
 
 
@@ -309,6 +342,53 @@ def test_generating_functions():
     assert f == [Fraction(-1), Fraction(1), Fraction(-2, 3), Fraction(1, 4)]
     g = generating_function([1, 2, 8], 3)
     assert g == [Fraction(-1), Fraction(1), Fraction(-4, 3)]
+
+
+def reference_compose_series(f, g, order):
+    """The power-by-power composition `compose_series` replaced: the powers
+    g^k, each times f_k, summed."""
+    g = [Fraction(x) for x in g[:order]] + [Fraction(0)] * max(0, order - len(g))
+    out = [Fraction(0)] * order
+    current = list(g)
+    for k in range(1, order + 1):
+        if k > 1:
+            nxt = [Fraction(0)] * order
+            for i, a in enumerate(current, start=1):
+                if a == 0:
+                    continue
+                for j, b in enumerate(g, start=1):
+                    if i + j <= order and b != 0:
+                        nxt[i + j - 1] += a * b
+            current = nxt
+        coeff = f[k - 1] if k - 1 < len(f) else Fraction(0)
+        if coeff != 0:
+            for i in range(order):
+                out[i] += coeff * current[i]
+    return out
+
+
+def test_compose_series_identities_and_example():
+    x = [1]
+    g = [Fraction(2, 3), -1, 0, Fraction(5, 7)]
+    assert compose_series(x, g, 4) == g
+    assert compose_series(g, x, 4) == g
+    assert compose_series(g, x, 6) == g + [0, 0]
+    assert compose_series([1, 1], [1, 1], 4) == [1, 2, 2, 1]
+    assert compose_series([1, 1], [1, 1], 3) == [1, 2, 2]
+    assert compose_series([], [], 0) == []
+    assert all(type(q) is Fraction for q in compose_series([1, 2], [3], 3))
+
+
+def test_compose_series_matches_reference(rng):
+    for _ in range(40):
+        order = rng.randint(1, 7)
+        f, g = (
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 8))]
+            for _ in range(2)
+        )
+        got = compose_series(f, g, order)
+        assert got == reference_compose_series(f, g, order)
+        assert len(got) == order and all(type(q) is Fraction for q in got)
 
 
 def test_koszul_composition_associative_self_dual():
